@@ -1,22 +1,23 @@
 #include "src/check/differential.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "src/api/edit_session.h"
 #include "src/base/string_util.h"
+#include "src/check/diverge.h"
 #include "src/check/oracle.h"
 #include "src/check/simulator.h"
-#include "src/check/stream.h"
 #include "src/doc/edit.h"
-#include "src/gen/editgen.h"
 #include "src/doc/event.h"
 #include "src/fmt/parser.h"
 #include "src/fmt/writer.h"
+#include "src/gen/editgen.h"
 #include "src/net/presentation_wire.h"
 #include "src/net/protocol.h"
 #include "src/net/wire.h"
@@ -29,6 +30,12 @@
 
 namespace cmif {
 namespace check {
+
+Status Diverged(const std::string& tag, const std::string& check, const std::string& detail) {
+  return FailedPreconditionError(
+      StrFormat("[%s] %s differential diverged: %s", tag.c_str(), check.c_str(), detail.c_str()));
+}
+
 namespace {
 
 // SplitMix64 finalizer: decorrelates consecutive document indexes so every
@@ -38,11 +45,6 @@ std::uint64_t MixSeed(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
-}
-
-Status Diverged(const std::string& tag, const std::string& check, const std::string& detail) {
-  return FailedPreconditionError(
-      StrFormat("[%s] %s differential diverged: %s", tag.c_str(), check.c_str(), detail.c_str()));
 }
 
 // Exact comparison of two earliest-time vectors.
@@ -167,24 +169,10 @@ Status ComparePlayback(const Document& document, const Schedule& schedule,
   sim_options.enable_freeze = enable_freeze;
   CMIF_ASSIGN_OR_RETURN(SimResult simulated,
                         SimulatePlayback(document, schedule, store, sim_options));
-  if (played.trace.size() != simulated.entries.size()) {
-    return Diverged(tag, check,
-                    StrFormat("engine presented %zu events, simulator %zu", played.trace.size(),
-                              simulated.entries.size()));
-  }
-  for (std::size_t i = 0; i < simulated.entries.size(); ++i) {
-    const TraceEntry& real = played.trace.entries()[i];
-    const SimEntry& sim = simulated.entries[i];
-    if (real.label != sim.label || real.channel != sim.channel ||
-        real.scheduled_begin != sim.scheduled_begin || real.target_begin != sim.target_begin ||
-        real.actual_begin != sim.actual_begin || real.actual_end != sim.actual_end ||
-        real.lateness != sim.lateness || real.caused_freeze != sim.caused_freeze ||
-        real.freeze_amount != sim.freeze_amount) {
-      return Diverged(tag, check,
-                      StrFormat("entry %zu ('%s') differs between engine and simulator", i,
-                                real.label.c_str()));
-    }
-  }
+  const FinalClock sim_clock{simulated.document_time, simulated.presentation_time,
+                             simulated.frozen_total};
+  CMIF_RETURN_IF_ERROR(
+      CompareTrace(tag, check, played, "engine", simulated.entries, sim_clock, "simulator"));
   if (played.sync_violations != simulated.sync_violations) {
     return Diverged(tag, check,
                     StrFormat("engine counted %zu sync violations, simulator %zu",
@@ -195,11 +183,6 @@ Status ComparePlayback(const Document& document, const Schedule& schedule,
   }
   if (played.trace.TotalFreeze() != simulated.total_freeze) {
     return Diverged(tag, check, "total freeze time differs");
-  }
-  if (played.clock.document_time() != simulated.document_time ||
-      played.clock.presentation_time() != simulated.presentation_time ||
-      played.clock.frozen_total() != simulated.frozen_total) {
-    return Diverged(tag, check, "final clock state differs");
   }
   if (Status s = played.trace.Verify(); !s.ok()) {
     return Diverged(tag, check, "engine trace fails Verify: " + s.message());
@@ -484,79 +467,42 @@ Status CheckDocument(const Document& document, const DescriptorStore* store,
   return Status::Ok();
 }
 
-StatusOr<CheckReport> RunDifferentialCheck(const CheckOptions& options) {
-  CheckReport report;
-  CheckCounters counters;
-  std::vector<std::uint64_t> seeds = options.seeds;
-  if (seeds.empty()) {
-    seeds.reserve(static_cast<std::size_t>(std::max(options.count, 0)));
-    for (int i = 0; i < options.count; ++i) {
-      seeds.push_back(MixSeed(options.base_seed + static_cast<std::uint64_t>(i)));
-    }
+namespace {
+
+// The lens table, in run order, with each lens's reproducer file-name infix
+// (indexed by Lens).
+constexpr Lens kLenses[] = {Lens::kDocument, Lens::kEdit, Lens::kStream};
+constexpr const char* kReproInfix[] = {"", "edit-", "stream-"};
+
+// Runs one lens over the case; a lens the case does not select passes.
+Status RunLens(Lens lens, const CheckCase& c, const DescriptorStore* store, const std::string& tag,
+               const SystemProfile& profile, CheckCounters* counters) {
+  switch (lens) {
+    case Lens::kDocument:
+      return CheckDocument(c.document, store, tag, profile, counters);
+    case Lens::kEdit:
+      return c.edits ? CheckEditTrace(c.document, store, *c.edits, tag, counters) : Status::Ok();
+    case Lens::kStream:
+      return c.link ? CheckStreamDocument(c.document, store, tag, profile, *c.link, counters)
+                    : Status::Ok();
   }
-  for (std::uint64_t seed : seeds) {
-    std::string tag = StrFormat("seed=0x%016llx", static_cast<unsigned long long>(seed));
-    GenOptions gen = PathologicalGenOptions(seed, options.target_leaves);
-    StatusOr<GenWorkload> workload = GenerateRandomDocument(gen);
-    if (!workload.ok()) {
-      report.failures.push_back(
-          CheckFailure{seed, "generator failed: " + workload.status().message(), ""});
-      continue;
-    }
-    ++report.documents;
-    Status verdict =
-        CheckDocument(workload->document, &workload->store, tag, options.profile, &counters);
-    bool edit_failure = false;
-    std::vector<EditOp> trace;
-    if (verdict.ok() && options.edits > 0) {
-      EditGenOptions egen;
-      egen.count = options.edits;
-      egen.seed = seed;
-      StatusOr<std::vector<EditOp>> generated = GenerateEditTrace(workload->document, egen);
-      if (!generated.ok()) {
-        verdict = FailedPreconditionError("[" + tag + "] edit-trace generator failed: " +
-                                          generated.status().message());
-      } else {
-        trace = std::move(*generated);
-        verdict = CheckEditTrace(workload->document, &workload->store, trace, tag, &counters);
-        edit_failure = !verdict.ok();
-      }
-    }
-    if (verdict.ok()) {
-      continue;
-    }
-    CheckFailure failure;
-    failure.seed = seed;
-    failure.detail = verdict.message();
-    if (options.shrink) {
-      StatusOr<std::string> minimized =
-          edit_failure ? ShrinkEditReproducer(workload->document, &workload->store, trace)
-                       : ShrinkReproducer(workload->document, &workload->store, options.profile);
-      if (minimized.ok()) {
-        std::filesystem::path dir =
-            options.reproducer_dir.empty() ? "." : options.reproducer_dir;
-        std::filesystem::path path =
-            dir / StrFormat(edit_failure ? "repro-edit-%016llx.cmif" : "repro-%016llx.cmif",
-                            static_cast<unsigned long long>(seed));
-        std::error_code ec;
-        std::filesystem::create_directories(dir, ec);
-        std::ofstream out(path);
-        if (out) {
-          out << *minimized;
-          failure.reproducer_path = path.string();
-        }
-      }
-    }
-    report.failures.push_back(std::move(failure));
-  }
-  report.feasible = counters.feasible;
-  report.relaxed = counters.relaxed;
-  report.infeasible = counters.infeasible;
-  report.oracle_passes = counters.oracle_passes;
-  return report;
+  return Status::Ok();
 }
 
-namespace {
+// Runs every lens in table order, stopping at the first divergence;
+// `failed` (when non-null) then names the lens that diverged.
+Status RunCase(const CheckCase& c, const DescriptorStore* store, const std::string& tag,
+               const SystemProfile& profile, CheckCounters* counters, Lens* failed) {
+  for (Lens lens : kLenses) {
+    if (Status s = RunLens(lens, c, store, tag, profile, counters); !s.ok()) {
+      if (failed != nullptr) {
+        *failed = lens;
+      }
+      return s;
+    }
+  }
+  return Status::Ok();
+}
 
 // Child-index path of `node` from its root, for relocating the same node in
 // a clone.
@@ -588,186 +534,273 @@ Node* NodeAtIndexPath(Document& document, const std::vector<std::size_t>& path) 
   return node;
 }
 
-}  // namespace
-
-StatusOr<std::string> ShrinkReproducer(const Document& document, const DescriptorStore* store,
-                                       const SystemProfile& profile) {
-  auto fails = [&](const Document& candidate) {
-    return !CheckDocument(candidate, store, "shrink", profile).ok();
-  };
-  if (!fails(document)) {
-    return FailedPreconditionError("document passes every check; nothing to shrink");
-  }
-  Document current = document.Clone();
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    // Pass 1: delete whole subtrees (pre-order, so large subtrees go first).
-    std::vector<std::vector<std::size_t>> victims;
-    current.root().Visit([&](const Node& node) {
-      if (node.parent() != nullptr) {
-        victims.push_back(IndexPath(node));
-      }
-    });
-    for (const auto& path : victims) {
-      Document trial = current.Clone();
-      Node* victim = NodeAtIndexPath(trial, path);
-      if (victim == nullptr) {
-        continue;
-      }
-      if (!DeleteSubtree(trial, *victim).ok()) {
-        continue;
-      }
-      if (fails(trial)) {
-        current = std::move(trial);
-        progress = true;
-        break;
-      }
+// Every single-step reduction of `c`, largest first: subtrees in pre-order,
+// then arcs, then edit ops. Each returns false when it does not apply to
+// the clone it is handed.
+std::vector<std::function<bool(CheckCase&)>> Reductions(const CheckCase& c) {
+  std::vector<std::function<bool(CheckCase&)>> reductions;
+  c.document.root().Visit([&](const Node& node) {
+    if (node.parent() != nullptr) {
+      reductions.push_back([path = IndexPath(node)](CheckCase& trial) {
+        Node* victim = NodeAtIndexPath(trial.document, path);
+        return victim != nullptr && DeleteSubtree(trial.document, *victim).ok();
+      });
     }
-    if (progress) {
-      continue;
-    }
-    // Pass 2: delete individual arcs.
-    std::vector<std::pair<std::vector<std::size_t>, std::size_t>> arcs;
-    current.root().Visit([&](const Node& node) {
-      for (std::size_t i = 0; i < node.arcs().size(); ++i) {
-        arcs.emplace_back(IndexPath(node), i);
-      }
-    });
-    for (const auto& [path, index] : arcs) {
-      Document trial = current.Clone();
-      Node* owner = NodeAtIndexPath(trial, path);
-      if (owner == nullptr || index >= owner->arcs().size()) {
-        continue;
-      }
-      owner->arcs().erase(owner->arcs().begin() + static_cast<std::ptrdiff_t>(index));
-      if (fails(trial)) {
-        current = std::move(trial);
-        progress = true;
-        break;
-      }
-    }
-  }
-  return WriteDocument(current);
-}
-
-namespace {
-
-// The section separator between a corpus document and its edit trace.
-constexpr std::string_view kEditsMarker = "%% edits";
-// The trailer pinning a stream reproducer's link parameters
-// ("%% stream bandwidth=<B> chunk=<C>").
-constexpr std::string_view kStreamMarker = "%% stream";
-
-}  // namespace
-
-StatusOr<std::string> ShrinkEditReproducer(const Document& document, const DescriptorStore* store,
-                                           const std::vector<EditOp>& trace) {
-  auto fails = [&](const std::vector<EditOp>& candidate) {
-    return !CheckEditTrace(document, store, candidate, "shrink").ok();
-  };
-  if (!fails(trace)) {
-    return FailedPreconditionError("edit trace passes every check; nothing to shrink");
-  }
-  // Greedy op deletion; CheckEditTrace skips ops made identically
-  // inapplicable by earlier deletions, so any subsequence is a valid trial.
-  std::vector<EditOp> current = trace;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (std::size_t i = 0; i < current.size(); ++i) {
-      std::vector<EditOp> candidate = current;
-      candidate.erase(candidate.begin() + static_cast<std::ptrdiff_t>(i));
-      if (fails(candidate)) {
-        current = std::move(candidate);
-        progress = true;
-        break;
-      }
-    }
-  }
-  CMIF_ASSIGN_OR_RETURN(std::string out, WriteDocument(document));
-  if (out.empty() || out.back() != '\n') {
-    out += '\n';
-  }
-  out += std::string(kEditsMarker) + "\n";
-  for (const EditOp& op : current) {
-    out += FormatEditOp(op) + "\n";
-  }
-  return out;
-}
-
-Status ReplayCorpusText(const std::string& text, const std::string& tag) {
-  // Split off the optional "%% edits" and "%% stream" sections before
-  // parsing; the document is everything before the first marker.
-  std::string document_text = text;
-  std::vector<EditOp> trace;
-  std::size_t edits_marker = text.find("\n" + std::string(kEditsMarker));
-  std::size_t stream_marker = text.find("\n" + std::string(kStreamMarker));
-  std::size_t first_marker = std::min(edits_marker, stream_marker);
-  if (first_marker != std::string::npos) {
-    document_text = text.substr(0, first_marker + 1);
-  }
-  if (edits_marker != std::string::npos) {
-    std::vector<std::string> lines = SplitString(text.substr(edits_marker + 1), '\n');
-    for (std::size_t i = 1; i < lines.size(); ++i) {  // lines[0] is the marker
-      std::string line(TrimString(lines[i]));
-      if (line.empty()) {
-        continue;
-      }
-      if (line.rfind("%%", 0) == 0) {
-        break;  // the next section begins
-      }
-      StatusOr<EditOp> op = ParseEditOp(line);
-      if (!op.ok()) {
-        return FailedPreconditionError("[" + tag + "] corpus edit op does not parse: " +
-                                       op.status().message());
-      }
-      trace.push_back(std::move(*op));
-    }
-  }
-  // The stream trailer carries its parameters on the marker line itself.
-  bool has_stream = stream_marker != std::string::npos;
-  std::int64_t stream_bandwidth = 64 << 10;
-  std::uint64_t stream_chunk = 1 << 10;
-  if (has_stream) {
-    std::size_t line_begin = stream_marker + 1;
-    std::size_t line_end = text.find('\n', line_begin);
-    std::string line = text.substr(line_begin, line_end == std::string::npos
-                                                   ? std::string::npos
-                                                   : line_end - line_begin);
-    for (const std::string& token : SplitString(line, ' ')) {
-      auto value_of = [&](std::size_t prefix) {
-        return std::strtoll(token.substr(prefix).c_str(), nullptr, 10);
-      };
-      if (token.rfind("bandwidth=", 0) == 0) {
-        stream_bandwidth = static_cast<std::int64_t>(value_of(10));
-      } else if (token.rfind("chunk=", 0) == 0) {
-        long long chunk = value_of(6);
-        if (chunk <= 0) {
-          return FailedPreconditionError("[" + tag +
-                                         "] corpus stream trailer chunk size does not parse");
+  });
+  c.document.root().Visit([&](const Node& node) {
+    for (std::size_t i = 0; i < node.arcs().size(); ++i) {
+      reductions.push_back([path = IndexPath(node), i](CheckCase& trial) {
+        Node* owner = NodeAtIndexPath(trial.document, path);
+        if (owner == nullptr || i >= owner->arcs().size()) {
+          return false;
         }
-        stream_chunk = static_cast<std::uint64_t>(chunk);
+        owner->arcs().erase(owner->arcs().begin() + static_cast<std::ptrdiff_t>(i));
+        return true;
+      });
+    }
+  });
+  // The edit lens skips ops made identically inapplicable by earlier
+  // deletions, so any subsequence of the trace is a valid trial.
+  for (std::size_t i = 0; c.edits && i < c.edits->size(); ++i) {
+    reductions.push_back([i](CheckCase& trial) {
+      trial.edits->erase(trial.edits->begin() + static_cast<std::ptrdiff_t>(i));
+      return true;
+    });
+  }
+  return reductions;
+}
+
+// Strict decimal parse of a whole trailer value: no '+', no suffix, and a
+// '-' only where T is signed.
+template <typename T>
+std::optional<T> ParseDecimal(std::string_view text) {
+  T value{};
+  auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size()) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+// Parses the key=value tokens of a `%% stream` line into `link`.
+Status ParseStreamKeys(const std::vector<std::string>& tokens, StreamLink& link) {
+  std::vector<std::string> seen;
+  for (std::size_t i = 2; i < tokens.size(); ++i) {
+    std::size_t eq = tokens[i].find('=');
+    std::string key = tokens[i].substr(0, eq);
+    if (eq == std::string::npos) {
+      return InvalidArgumentError("token '" + tokens[i] + "' is not key=value");
+    }
+    if (std::find(seen.begin(), seen.end(), key) != seen.end()) {
+      return InvalidArgumentError("duplicate key '" + key + "'");
+    }
+    seen.push_back(key);
+    std::string_view value = std::string_view(tokens[i]).substr(eq + 1);
+    if (key == "bandwidth") {
+      std::optional<std::int64_t> bandwidth = ParseDecimal<std::int64_t>(value);
+      if (!bandwidth) {
+        return InvalidArgumentError("bandwidth '" + std::string(value) + "' is not an integer");
       }
+      link.bandwidth_bytes_per_s = *bandwidth;
+    } else if (key == "chunk") {
+      std::optional<std::uint64_t> chunk = ParseDecimal<std::uint64_t>(value);
+      if (!chunk) {
+        return InvalidArgumentError("chunk '" + std::string(value) + "' is not an integer");
+      }
+      link.chunk_bytes = *chunk;
+    } else {
+      return InvalidArgumentError("unknown key '" + key + "'");
     }
   }
-  StatusOr<Document> document = ParseDocument(document_text);
+  return ValidateLink(link);
+}
+
+}  // namespace
+
+StatusOr<CheckCase> ParseCase(const std::string& text, const std::string& tag) {
+  // The document runs up to the first line that opens a section.
+  std::size_t trailer = 0;
+  while (trailer < text.size() && text.compare(trailer, 2, "%%") != 0) {
+    std::size_t newline = text.find('\n', trailer);
+    trailer = newline == std::string::npos ? text.size() : newline + 1;
+  }
+  StatusOr<Document> document = ParseDocument(text.substr(0, trailer));
   if (!document.ok()) {
     return FailedPreconditionError("[" + tag + "] corpus file does not parse: " +
                                    document.status().message());
   }
+  CheckCase c{std::move(*document), std::nullopt, std::nullopt};
+  auto malformed = [&](const std::string& line, const std::string& why) {
+    return FailedPreconditionError("[" + tag + "] corpus trailer line '" + line + "': " + why);
+  };
+  std::string section;
+  for (const std::string& raw : SplitString(std::string_view(text).substr(trailer), '\n')) {
+    std::string line(TrimString(raw));
+    if (raw.rfind("%%", 0) != 0) {
+      if (line.empty()) {
+        continue;
+      }
+      if (section != "edits") {
+        return malformed(line, "section '" + section + "' takes no body lines");
+      }
+      StatusOr<EditOp> op = ParseEditOp(line);
+      if (!op.ok()) {
+        return malformed(line, "edit op does not parse: " + op.status().message());
+      }
+      c.edits->push_back(std::move(*op));
+      continue;
+    }
+    std::vector<std::string> tokens;
+    for (const std::string& token : SplitString(line, ' ')) {
+      if (!token.empty()) {
+        tokens.push_back(token);
+      }
+    }
+    if (tokens.size() < 2 || tokens[0] != "%%") {
+      return malformed(line, "expected '%% <section> [key=value]...'");
+    }
+    section = tokens[1];
+    if (section == "edits") {
+      if (c.edits) {
+        return malformed(line, "duplicate section");
+      }
+      if (tokens.size() > 2) {
+        return malformed(line, "section 'edits' takes no keys");
+      }
+      c.edits.emplace();
+    } else if (section == "stream") {
+      if (c.link) {
+        return malformed(line, "duplicate section");
+      }
+      c.link.emplace();
+      if (Status s = ParseStreamKeys(tokens, *c.link); !s.ok()) {
+        return malformed(line, s.message());
+      }
+    } else {
+      return malformed(line, "unknown section '" + section + "'");
+    }
+  }
+  return c;
+}
+
+StatusOr<std::string> FormatCase(const CheckCase& c) {
+  CMIF_ASSIGN_OR_RETURN(std::string out, WriteDocument(c.document));
+  if (out.empty() || out.back() != '\n') {
+    out += '\n';
+  }
+  if (c.edits) {
+    out += "%% edits\n";
+    for (const EditOp& op : *c.edits) {
+      out += FormatEditOp(op) + "\n";
+    }
+  }
+  if (c.link) {
+    out += StrFormat("%%%% stream bandwidth=%lld chunk=%llu\n",
+                     static_cast<long long>(c.link->bandwidth_bytes_per_s),
+                     static_cast<unsigned long long>(c.link->chunk_bytes));
+  }
+  return out;
+}
+
+StatusOr<std::string> ShrinkReproducer(const CheckCase& failing, Lens lens,
+                                       const DescriptorStore* store, const SystemProfile& profile) {
+  auto fails = [&](const CheckCase& candidate) {
+    return !RunLens(lens, candidate, store, "shrink", profile, nullptr).ok();
+  };
+  if (!fails(failing)) {
+    return FailedPreconditionError("case passes every check of that lens; nothing to shrink");
+  }
+  // A reproducer carries only what its lens reads.
+  CheckCase current{failing.document.Clone(), std::nullopt, std::nullopt};
+  if (lens == Lens::kEdit) {
+    current.edits = failing.edits;
+  } else if (lens == Lens::kStream) {
+    current.link = failing.link;
+  }
+  bool progress = true;
+  while (progress) {
+    progress = false;
+    for (const auto& reduce : Reductions(current)) {
+      CheckCase trial{current.document.Clone(), current.edits, current.link};
+      if (reduce(trial) && fails(trial)) {
+        current = std::move(trial);
+        progress = true;
+        break;
+      }
+    }
+  }
+  return FormatCase(current);
+}
+
+StatusOr<CheckReport> RunDifferentialCheck(const CheckOptions& options) {
+  if (options.link) {
+    CMIF_RETURN_IF_ERROR(ValidateLink(*options.link));
+  }
+  CheckReport report;
+  std::vector<std::uint64_t> seeds = options.seeds;
+  if (seeds.empty()) {
+    seeds.reserve(static_cast<std::size_t>(std::max(options.count, 0)));
+    for (int i = 0; i < options.count; ++i) {
+      seeds.push_back(MixSeed(options.base_seed + static_cast<std::uint64_t>(i)));
+    }
+  }
+  for (std::uint64_t seed : seeds) {
+    std::string tag = StrFormat("seed=0x%016llx", static_cast<unsigned long long>(seed));
+    GenOptions gen = PathologicalGenOptions(seed, options.target_leaves);
+    StatusOr<GenWorkload> workload = GenerateRandomDocument(gen);
+    if (!workload.ok()) {
+      report.failures.push_back(
+          CheckFailure{seed, "generator failed: " + workload.status().message(), ""});
+      continue;
+    }
+    ++report.documents;
+    CheckCase c{std::move(workload->document), std::nullopt, options.link};
+    if (options.edits > 0) {
+      EditGenOptions egen;
+      egen.count = options.edits;
+      egen.seed = seed;
+      StatusOr<std::vector<EditOp>> trace = GenerateEditTrace(c.document, egen);
+      if (!trace.ok()) {
+        report.failures.push_back(CheckFailure{
+            seed, "[" + tag + "] edit-trace generator failed: " + trace.status().message(), ""});
+        continue;
+      }
+      c.edits = std::move(*trace);
+    }
+    Lens failed = Lens::kDocument;
+    Status verdict = RunCase(c, &workload->store, tag, options.profile, &report, &failed);
+    if (verdict.ok()) {
+      continue;
+    }
+    CheckFailure failure{seed, verdict.message(), ""};
+    if (options.shrink) {
+      StatusOr<std::string> minimized =
+          ShrinkReproducer(c, failed, &workload->store, options.profile);
+      if (minimized.ok()) {
+        std::filesystem::path dir =
+            options.reproducer_dir.empty() ? "." : options.reproducer_dir;
+        std::string name = StrFormat("repro-%s%016llx.cmif", kReproInfix[static_cast<int>(failed)],
+                                     static_cast<unsigned long long>(seed));
+        std::filesystem::path path = dir / name;
+        std::error_code ec;
+        std::filesystem::create_directories(dir, ec);
+        std::ofstream out(path);
+        if (out) {
+          out << *minimized;
+          failure.reproducer_path = path.string();
+        }
+      }
+    }
+    report.failures.push_back(std::move(failure));
+  }
+  return report;
+}
+
+Status ReplayCorpusText(const std::string& text, const std::string& tag) {
+  CMIF_ASSIGN_OR_RETURN(CheckCase c, ParseCase(text, tag));
   // Corpus files are self-contained: generated leaves pin their durations
   // with duration attributes, so no catalog is needed to re-judge them.
-  CMIF_RETURN_IF_ERROR(CheckDocument(*document, /*store=*/nullptr, tag, WorkstationProfile()));
-  if (!trace.empty()) {
-    CMIF_RETURN_IF_ERROR(CheckEditTrace(*document, /*store=*/nullptr, trace, tag));
-  }
-  if (has_stream) {
-    CMIF_RETURN_IF_ERROR(CheckStreamDocument(*document, /*store=*/nullptr, tag,
-                                             WorkstationProfile(), stream_bandwidth,
-                                             stream_chunk));
-  }
-  return Status::Ok();
+  return RunCase(c, /*store=*/nullptr, tag, WorkstationProfile(), nullptr, nullptr);
 }
 
 StatusOr<int> ReplayCorpusDir(const std::string& dir) {
@@ -798,7 +831,8 @@ StatusOr<int> ReplayCorpusDir(const std::string& dir) {
 std::string CheckReport::Summary() const {
   std::ostringstream os;
   os << "checked " << documents << " documents: " << feasible << " feasible, " << relaxed
-     << " relaxed, " << infeasible << " infeasible (" << oracle_passes << " oracle sweeps)\n";
+     << " relaxed, " << infeasible << " infeasible, " << streamed << " streamed ("
+     << oracle_passes << " oracle sweeps)\n";
   for (const CheckFailure& failure : failures) {
     os << StrFormat("FAIL seed=0x%016llx: %s\n",
                     static_cast<unsigned long long>(failure.seed), failure.detail.c_str());

@@ -1,14 +1,12 @@
-#include "src/check/stream.h"
+// The stream lens (declared in differential.h): streamed delivery checked
+// against blob delivery on a virtual bandwidth-constrained link.
+#include "src/check/differential.h"
 
-#include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <utility>
 
 #include "src/base/string_util.h"
-#include "src/doc/edit.h"
-#include "src/fmt/writer.h"
+#include "src/check/diverge.h"
 #include "src/media/block_codec.h"
 #include "src/net/presentation_wire.h"
 #include "src/net/stream.h"
@@ -19,20 +17,6 @@
 namespace cmif {
 namespace check {
 namespace {
-
-// SplitMix64 finalizer (the same derivation RunDifferentialCheck uses, so a
-// seed reported by either driver regenerates the same document).
-std::uint64_t MixSeed(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-Status Diverged(const std::string& tag, const std::string& check, const std::string& detail) {
-  return FailedPreconditionError(
-      StrFormat("[%s] %s differential diverged: %s", tag.c_str(), check.c_str(), detail.c_str()));
-}
 
 // Carves the plan's logical byte string the way the server's v4 blob path
 // does: one WireBlock per manifest entry, delivery order.
@@ -72,37 +56,6 @@ Status CompareBlocks(const std::string& tag, const std::string& check,
   return Status::Ok();
 }
 
-// Entry-by-entry trace equality, the ComparePlayback discipline.
-Status CompareTraces(const std::string& tag, const std::string& check,
-                     const PlaybackResult& streamed, const PlaybackResult& blob) {
-  if (streamed.trace.size() != blob.trace.size()) {
-    return Diverged(tag, check,
-                    StrFormat("streamed run presented %zu events, blob run %zu",
-                              streamed.trace.size(), blob.trace.size()));
-  }
-  for (std::size_t i = 0; i < blob.trace.size(); ++i) {
-    const TraceEntry& s = streamed.trace.entries()[i];
-    const TraceEntry& b = blob.trace.entries()[i];
-    if (s.label != b.label || s.channel != b.channel || s.scheduled_begin != b.scheduled_begin ||
-        s.target_begin != b.target_begin || s.actual_begin != b.actual_begin ||
-        s.actual_end != b.actual_end || s.lateness != b.lateness ||
-        s.caused_freeze != b.caused_freeze || s.freeze_amount != b.freeze_amount) {
-      return Diverged(tag, check,
-                      StrFormat("entry %zu ('%s') differs between streamed and blob delivery", i,
-                                b.label.c_str()));
-    }
-  }
-  if (streamed.sync_violations != blob.sync_violations) {
-    return Diverged(tag, check, "sync-violation counts differ between delivery paths");
-  }
-  if (streamed.clock.document_time() != blob.clock.document_time() ||
-      streamed.clock.presentation_time() != blob.clock.presentation_time() ||
-      streamed.clock.frozen_total() != blob.clock.frozen_total()) {
-    return Diverged(tag, check, "final clock state differs between delivery paths");
-  }
-  return Status::Ok();
-}
-
 // The resume boundaries worth replaying: every one on short streams, the
 // edges plus the middle on long ones (each replay re-feeds the tail).
 std::vector<std::uint64_t> ResumeCuts(std::uint64_t total_chunks) {
@@ -122,12 +75,26 @@ std::vector<std::uint64_t> ResumeCuts(std::uint64_t total_chunks) {
 
 }  // namespace
 
+Status ValidateLink(const StreamLink& link) {
+  if (link.bandwidth_bytes_per_s < 0) {
+    return InvalidArgumentError(StrFormat("bandwidth %lld is negative",
+                                          static_cast<long long>(link.bandwidth_bytes_per_s)));
+  }
+  if (link.chunk_bytes < net::kMinChunkBytes || link.chunk_bytes > net::kMaxChunkBytes) {
+    return InvalidArgumentError(StrFormat("chunk %llu is outside [%llu, %llu]",
+                                          static_cast<unsigned long long>(link.chunk_bytes),
+                                          static_cast<unsigned long long>(net::kMinChunkBytes),
+                                          static_cast<unsigned long long>(net::kMaxChunkBytes)));
+  }
+  return Status::Ok();
+}
+
 Status CheckStreamDocument(const Document& document, const DescriptorStore* store,
                            const std::string& tag, const SystemProfile& profile,
-                           std::int64_t bandwidth_bytes_per_s, std::uint64_t chunk_bytes,
-                           CheckCounters* counters) {
+                           const StreamLink& link, CheckCounters* counters) {
   const std::string check = "stream";
-  chunk_bytes = std::clamp(chunk_bytes, net::kMinChunkBytes, net::kMaxChunkBytes);
+  CMIF_RETURN_IF_ERROR(ValidateLink(link));
+  const std::uint64_t chunk_bytes = link.chunk_bytes;
   DescriptorStore empty;
   const DescriptorStore& catalog = store != nullptr ? *store : empty;
   BlockStore blocks;
@@ -144,17 +111,10 @@ Status CheckStreamDocument(const Document& document, const DescriptorStore* stor
     if (!plan.blocks.empty() || !plan.bytes.empty()) {
       return Diverged(tag, check, "infeasible schedule produced a non-empty delivery plan");
     }
-    if (counters != nullptr) {
-      ++counters->infeasible;
-    }
     return Status::Ok();
   }
-  if (counters != nullptr) {
-    if (plan.blocks.empty()) {
-      ++counters->relaxed;  // feasible but nothing to stream (immediate-only)
-    } else {
-      ++counters->feasible;
-    }
+  if (counters != nullptr && !plan.blocks.empty()) {
+    ++counters->streamed;
   }
 
   // Plan invariants both delivery paths rely on: contiguous offsets, the
@@ -329,9 +289,9 @@ Status CheckStreamDocument(const Document& document, const DescriptorStore* stor
   std::map<std::string, MediaTime> arrival;
   bool on_time = true;
   for (const PrefetchBlock& block : plan.blocks) {
-    MediaTime at = bandwidth_bytes_per_s > 0
+    MediaTime at = link.bandwidth_bytes_per_s > 0
                        ? MediaTime::Bytes(static_cast<std::int64_t>(block.offset + block.bytes),
-                                          bandwidth_bytes_per_s)
+                                          link.bandwidth_bytes_per_s)
                        : MediaTime();
     if (at > block.first_need) {
       on_time = false;
@@ -355,7 +315,13 @@ Status CheckStreamDocument(const Document& document, const DescriptorStore* stor
   if (stream_run.stalls == 0) {
     // A stall-free stream must be indistinguishable from the blob: same
     // trace, tick for tick.
-    CMIF_RETURN_IF_ERROR(CompareTraces(tag, check, stream_run, blob_run));
+    const FinalClock blob_clock{blob_run.clock.document_time(), blob_run.clock.presentation_time(),
+                                blob_run.clock.frozen_total()};
+    CMIF_RETURN_IF_ERROR(CompareTrace(tag, check, stream_run, "streamed", blob_run.trace.entries(),
+                                      blob_clock, "blob"));
+    if (stream_run.sync_violations != blob_run.sync_violations) {
+      return Diverged(tag, check, "sync-violation counts differ between delivery paths");
+    }
   } else {
     // The link fell behind: stalls are allowed, silent divergence is not.
     // The streamed run still presents every event, in order, with must-sync
@@ -385,168 +351,6 @@ Status CheckStreamDocument(const Document& document, const DescriptorStore* stor
     }
   }
   return Status::Ok();
-}
-
-StatusOr<CheckReport> RunStreamCheck(const StreamCheckOptions& options) {
-  CheckReport report;
-  CheckCounters counters;
-  std::vector<std::uint64_t> seeds = options.seeds;
-  if (seeds.empty()) {
-    seeds.reserve(static_cast<std::size_t>(std::max(options.count, 0)));
-    for (int i = 0; i < options.count; ++i) {
-      seeds.push_back(MixSeed(options.base_seed + static_cast<std::uint64_t>(i)));
-    }
-  }
-  for (std::uint64_t seed : seeds) {
-    std::string tag = StrFormat("seed=0x%016llx", static_cast<unsigned long long>(seed));
-    GenOptions gen = PathologicalGenOptions(seed, options.target_leaves);
-    StatusOr<GenWorkload> workload = GenerateRandomDocument(gen);
-    if (!workload.ok()) {
-      report.failures.push_back(
-          CheckFailure{seed, "generator failed: " + workload.status().message(), ""});
-      continue;
-    }
-    ++report.documents;
-    Status verdict =
-        CheckStreamDocument(workload->document, &workload->store, tag, options.profile,
-                            options.bandwidth_bytes_per_s, options.chunk_bytes, &counters);
-    if (verdict.ok()) {
-      continue;
-    }
-    CheckFailure failure;
-    failure.seed = seed;
-    failure.detail = verdict.message();
-    if (options.shrink) {
-      StatusOr<std::string> minimized =
-          ShrinkStreamReproducer(workload->document, &workload->store, options.profile,
-                                 options.bandwidth_bytes_per_s, options.chunk_bytes);
-      if (minimized.ok()) {
-        std::filesystem::path dir =
-            options.reproducer_dir.empty() ? "." : options.reproducer_dir;
-        std::filesystem::path path =
-            dir / StrFormat("repro-stream-%016llx.cmif", static_cast<unsigned long long>(seed));
-        std::error_code ec;
-        std::filesystem::create_directories(dir, ec);
-        std::ofstream out(path);
-        if (out) {
-          out << *minimized;
-          failure.reproducer_path = path.string();
-        }
-      }
-    }
-    report.failures.push_back(std::move(failure));
-  }
-  report.feasible = counters.feasible;
-  report.relaxed = counters.relaxed;
-  report.infeasible = counters.infeasible;
-  report.oracle_passes = counters.oracle_passes;
-  return report;
-}
-
-namespace {
-
-// Child-index path helpers, mirroring the shrinker in differential.cc.
-std::vector<std::size_t> IndexPath(const Node& node) {
-  std::vector<std::size_t> path;
-  const Node* current = &node;
-  while (current->parent() != nullptr) {
-    const Node* parent = current->parent();
-    for (std::size_t i = 0; i < parent->child_count(); ++i) {
-      if (&parent->ChildAt(i) == current) {
-        path.push_back(i);
-        break;
-      }
-    }
-    current = parent;
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
-Node* NodeAtIndexPath(Document& document, const std::vector<std::size_t>& path) {
-  Node* node = &document.root();
-  for (std::size_t index : path) {
-    if (index >= node->child_count()) {
-      return nullptr;
-    }
-    node = &node->ChildAt(index);
-  }
-  return node;
-}
-
-}  // namespace
-
-StatusOr<std::string> ShrinkStreamReproducer(const Document& document,
-                                             const DescriptorStore* store,
-                                             const SystemProfile& profile,
-                                             std::int64_t bandwidth_bytes_per_s,
-                                             std::uint64_t chunk_bytes) {
-  auto fails = [&](const Document& candidate) {
-    return !CheckStreamDocument(candidate, store, "shrink", profile, bandwidth_bytes_per_s,
-                                chunk_bytes)
-                .ok();
-  };
-  if (!fails(document)) {
-    return FailedPreconditionError("document passes the stream check; nothing to shrink");
-  }
-  Document current = document.Clone();
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    // Pass 1: delete whole subtrees (pre-order, so large subtrees go first).
-    std::vector<std::vector<std::size_t>> victims;
-    current.root().Visit([&](const Node& node) {
-      if (node.parent() != nullptr) {
-        victims.push_back(IndexPath(node));
-      }
-    });
-    for (const auto& path : victims) {
-      Document trial = current.Clone();
-      Node* victim = NodeAtIndexPath(trial, path);
-      if (victim == nullptr) {
-        continue;
-      }
-      if (!DeleteSubtree(trial, *victim).ok()) {
-        continue;
-      }
-      if (fails(trial)) {
-        current = std::move(trial);
-        progress = true;
-        break;
-      }
-    }
-    if (progress) {
-      continue;
-    }
-    // Pass 2: delete individual arcs.
-    std::vector<std::pair<std::vector<std::size_t>, std::size_t>> arcs;
-    current.root().Visit([&](const Node& node) {
-      for (std::size_t i = 0; i < node.arcs().size(); ++i) {
-        arcs.emplace_back(IndexPath(node), i);
-      }
-    });
-    for (const auto& [path, index] : arcs) {
-      Document trial = current.Clone();
-      Node* owner = NodeAtIndexPath(trial, path);
-      if (owner == nullptr || index >= owner->arcs().size()) {
-        continue;
-      }
-      owner->arcs().erase(owner->arcs().begin() + static_cast<std::ptrdiff_t>(index));
-      if (fails(trial)) {
-        current = std::move(trial);
-        progress = true;
-        break;
-      }
-    }
-  }
-  CMIF_ASSIGN_OR_RETURN(std::string out, WriteDocument(current));
-  if (out.empty() || out.back() != '\n') {
-    out += '\n';
-  }
-  out += StrFormat("%%%% stream bandwidth=%lld chunk=%llu\n",
-                   static_cast<long long>(bandwidth_bytes_per_s),
-                   static_cast<unsigned long long>(chunk_bytes));
-  return out;
 }
 
 }  // namespace check

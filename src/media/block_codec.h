@@ -2,7 +2,7 @@
 // delivery (src/net/stream.h) and the v4 blob blocks field actually carry.
 // Deterministic: equal blocks encode to equal bytes, so byte comparison is
 // block comparison — the property the streamed-vs-blob differential harness
-// (src/check/stream.h) is built on. Unlike the persist layer's textual
+// (src/check/stream.cc) is built on. Unlike the persist layer's textual
 // inline payloads, this codec covers every medium including video.
 #ifndef SRC_MEDIA_BLOCK_CODEC_H_
 #define SRC_MEDIA_BLOCK_CODEC_H_

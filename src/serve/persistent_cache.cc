@@ -332,8 +332,9 @@ JournalReplay ReplayJournal(std::string_view text) {
       std::string_view body = line.substr(9);
       errno = 0;
       char* end = nullptr;
+      const std::string declared_text(line.substr(0, 8));  // `end` points into it
       std::uint32_t declared =
-          static_cast<std::uint32_t>(std::strtoul(std::string(line.substr(0, 8)).c_str(), &end, 16));
+          static_cast<std::uint32_t>(std::strtoul(declared_text.c_str(), &end, 16));
       if (end != nullptr && *end == '\0' && declared == Crc32(body)) {
         std::vector<std::string> fields = SplitString(body, ' ');
         if (fields.size() == 4 && fields[0] == "commit") {

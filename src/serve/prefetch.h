@@ -9,7 +9,7 @@
 //
 // The same plan drives both delivery paths — chunked streaming and the v4
 // blob blocks field — which is what makes the streamed-vs-blob differential
-// (src/check/stream.h) a byte-level comparison.
+// (src/check/stream.cc) a byte-level comparison.
 #ifndef SRC_SERVE_PREFETCH_H_
 #define SRC_SERVE_PREFETCH_H_
 

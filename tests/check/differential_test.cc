@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <optional>
+#include <sstream>
 #include <string>
 
 #include "src/base/string_util.h"
 #include "src/doc/builder.h"
 #include "src/fmt/parser.h"
+#include "src/fmt/writer.h"
 #include "src/news/evening_news.h"
 
 namespace cmif {
@@ -106,7 +111,8 @@ TEST(ShrinkerTest, ShrinksToMinimalFailingDocument) {
   ASSERT_TRUE(doc.ok()) << doc.status();
   ASSERT_FALSE(CheckDocument(*doc, nullptr, "shrink-input", WorkstationProfile()).ok());
 
-  auto shrunk = ShrinkReproducer(*doc, nullptr, WorkstationProfile());
+  auto shrunk = ShrinkReproducer(CheckCase{doc->Clone(), std::nullopt, std::nullopt},
+                                 Lens::kDocument, nullptr, WorkstationProfile());
   ASSERT_TRUE(shrunk.ok()) << shrunk.status();
   auto reparsed = ParseDocument(*shrunk);
   ASSERT_TRUE(reparsed.ok()) << reparsed.status();
@@ -123,13 +129,66 @@ TEST(ShrinkerTest, RefusesAPassingDocument) {
   builder.ImmText("a", "x").OnChannel("txt").WithDuration(MediaTime::Seconds(1));
   auto doc = builder.Build();
   ASSERT_TRUE(doc.ok()) << doc.status();
-  EXPECT_FALSE(ShrinkReproducer(*doc, nullptr, WorkstationProfile()).ok());
+  EXPECT_FALSE(ShrinkReproducer(CheckCase{doc->Clone(), std::nullopt, std::nullopt},
+                                Lens::kDocument, nullptr, WorkstationProfile())
+                   .ok());
+}
+
+TEST(ShrinkerTest, StreamFailureKeepsItsLink) {
+  // The ghost channel fails the stream lens too (it cannot compile), so it
+  // stands in for a streamed-delivery divergence.
+  auto doc = DocWithOneBadLeaf(9);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  const StreamLink link{2000, 300};
+  auto shrunk = ShrinkReproducer(CheckCase{doc->Clone(), std::nullopt, link}, Lens::kStream,
+                                 nullptr, WorkstationProfile());
+  ASSERT_TRUE(shrunk.ok()) << shrunk.status();
+  EXPECT_NE(shrunk->find("%% stream bandwidth=2000 chunk=300\n"), std::string::npos) << *shrunk;
+  auto reparsed = ParseCase(*shrunk, "shrunk-stream");
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status();
+  EXPECT_LT(reparsed->document.root().SubtreeSize(), doc->root().SubtreeSize());
+  ASSERT_TRUE(reparsed->link.has_value());
+  EXPECT_EQ(*reparsed->link, link);
+  EXPECT_FALSE(reparsed->edits.has_value());
+  EXPECT_FALSE(CheckStreamDocument(reparsed->document, nullptr, "shrunk-stream",
+                                   WorkstationProfile(), *reparsed->link)
+                   .ok());
+  EXPECT_FALSE(ReplayCorpusText(*shrunk, "shrunk-stream").ok());
 }
 
 TEST(CorpusTest, ReplaysEveryCheckedInFile) {
   auto replayed = ReplayCorpusDir(CMIF_CORPUS_DIR);
   ASSERT_TRUE(replayed.ok()) << replayed.status();
   EXPECT_GE(*replayed, 4);
+}
+
+TEST(CorpusTest, EveryFileSurvivesParseFormatParse) {
+  int files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(CMIF_CORPUS_DIR)) {
+    if (entry.path().extension() != ".cmif") {
+      continue;
+    }
+    ++files;
+    const std::string name = entry.path().filename().string();
+    std::ifstream in(entry.path());
+    std::ostringstream text;
+    text << in.rdbuf();
+    auto first = ParseCase(text.str(), name);
+    ASSERT_TRUE(first.ok()) << first.status();
+    auto formatted = FormatCase(*first);
+    ASSERT_TRUE(formatted.ok()) << formatted.status();
+    auto second = ParseCase(*formatted, name);
+    ASSERT_TRUE(second.ok()) << name << ": " << second.status();
+    EXPECT_EQ(*WriteDocument(second->document), *WriteDocument(first->document)) << name;
+    EXPECT_EQ(second->link, first->link) << name;
+    ASSERT_EQ(second->edits.has_value(), first->edits.has_value()) << name;
+    for (std::size_t i = 0; first->edits && i < first->edits->size(); ++i) {
+      ASSERT_LT(i, second->edits->size()) << name;
+      EXPECT_EQ(FormatEditOp((*second->edits)[i]), FormatEditOp((*first->edits)[i])) << name;
+    }
+    EXPECT_EQ(*FormatCase(*second), *formatted) << name;
+  }
+  EXPECT_GE(files, 4);
 }
 
 }  // namespace

@@ -99,9 +99,39 @@ TEST(EditDifferentialTest, ShrinkerRefusesATraceThatPassesEveryCheck) {
   // A reproducer is only meaningful for a diverging trace; handing the
   // shrinker a clean one must fail loudly instead of emitting an empty
   // "reproducer" that reproduces nothing.
-  auto shrunk = ShrinkEditReproducer(*doc, nullptr, trace);
+  auto shrunk = ShrinkReproducer(CheckCase{doc->Clone(), trace, std::nullopt}, Lens::kEdit,
+                                 nullptr, WorkstationProfile());
   ASSERT_FALSE(shrunk.ok());
   EXPECT_EQ(shrunk.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(EditDifferentialTest, ShrunkEditFailureRoundTripsThroughItsTrailer) {
+  // An op that puts a leaf on an undefined channel applies identically on
+  // both sides but leaves a document nothing can compile: an edit-lens
+  // failure the document lens never sees.
+  auto doc = ParseDocument(kEditDoc);
+  ASSERT_TRUE(doc.ok());
+  ASSERT_TRUE(CheckDocument(*doc, nullptr, "edit-doc", WorkstationProfile()).ok());
+  std::vector<EditOp> trace = ParseTrace({
+      "retune-arc / 0 2 -1/2 inf",
+      "add-node / ghost_leaf imm ghost",
+      "retune-arc / 0 0 0 inf",
+  });
+  ASSERT_FALSE(CheckEditTrace(*doc, nullptr, trace, "edit-doc").ok());
+  auto shrunk = ShrinkReproducer(CheckCase{doc->Clone(), trace, std::nullopt}, Lens::kEdit,
+                                 nullptr, WorkstationProfile());
+  ASSERT_TRUE(shrunk.ok()) << shrunk.status();
+  auto reparsed = ParseCase(*shrunk, "shrunk-edit");
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status() << "\n" << *shrunk;
+  EXPECT_FALSE(reparsed->link.has_value());
+  ASSERT_TRUE(reparsed->edits.has_value());
+  ASSERT_EQ(reparsed->edits->size(), 1u) << *shrunk;
+  EXPECT_EQ(FormatEditOp(reparsed->edits->front()), FormatEditOp(trace[1]));
+  EXPECT_FALSE(CheckEditTrace(reparsed->document, nullptr, *reparsed->edits, "shrunk-edit").ok());
+  auto formatted = FormatCase(*reparsed);
+  ASSERT_TRUE(formatted.ok()) << formatted.status();
+  EXPECT_EQ(*formatted, *shrunk);
+  EXPECT_FALSE(ReplayCorpusText(*shrunk, "shrunk-edit").ok());
 }
 
 TEST(EditDifferentialTest, CorpusTextWithEditSectionReplays) {

@@ -42,6 +42,12 @@ check "unknown serve flag exits 2" 2 $?
 "$TOOL" sample-news -3 >/dev/null 2>&1
 check "negative story count exits 2" 2 $?
 
+for flags in "--count -5" "--count 0" "--leaves 0" "--edits -1" "--bandwidth -1" \
+             "--chunk 0" "--chunk 255" "--chunk 4194305"; do
+  "$TOOL" check $flags --no-shrink >/dev/null 2>&1
+  check "check $flags exits 2" 2 $?
+done
+
 "$TOOL" request --doc news-0-s1 >/dev/null 2>&1
 check "request without --port exits 2" 2 $?
 
@@ -79,6 +85,9 @@ grep -q "zero divergences" stream_conf.out || {
 
 "$TOOL" check --stream --count 3 --seed 7 --bandwidth 2000 --chunk 300 --no-shrink >/dev/null 2>&1
 check "stream conformance on a starved link exits 0" 0 $?
+
+"$TOOL" check --stream --edits 3 --count 3 --no-shrink >/dev/null 2>&1
+check "conformance with the edit and stream lenses together exits 0" 0 $?
 
 "$TOOL" serve --docs 2 --requests 16 --threads 1 >/dev/null 2>&1
 check "in-process serve replay exits 0" 0 $?

@@ -5,14 +5,15 @@
 //   cmif_tool sample-news [stories]          write news.cmif + news.catalog
 //   cmif_tool check <doc> [catalog]          validate + statistics
 //   cmif_tool check [--count N] [--seed S] [--seeds a,b,c] [--leaves L]
-//                   [--edits N] [--no-shrink] [--shrink-dir D]
+//                   [--edits N] [--stream [--bandwidth B] [--chunk C]]
+//                   [--no-shrink] [--shrink-dir D]
 //                   [--replay <file|dir>]    differential conformance run
-//                                            (--edits replays seeded edit
-//                                            traces through EditSession)
-//   cmif_tool check --stream [--bandwidth B] [--chunk C] [--count N] [...]
-//                                            streamed-vs-blob delivery
-//                                            differential on a simulated
-//                                            B-bytes/sec link
+//                                            (--edits adds the edit lens:
+//                                            seeded edit traces through
+//                                            EditSession; --stream adds the
+//                                            stream lens: streamed-vs-blob
+//                                            delivery on a simulated
+//                                            B-bytes/sec link)
 //   cmif_tool tree <doc>                     Figure-5 views
 //   cmif_tool arcs <doc>                     Figure-9 arc table
 //   cmif_tool schedule <doc> [catalog]       timeline (Figure 3/10 view)
@@ -56,7 +57,6 @@
 #include "src/api/cmif.h"
 #include "src/base/string_util.h"
 #include "src/check/differential.h"
-#include "src/check/stream.h"
 #include "src/ddbms/persist.h"
 #include "src/doc/stats.h"
 #include "src/doc/validate.h"
@@ -223,12 +223,12 @@ std::optional<std::uint64_t> ParseSeed(const std::string& text) {
 }
 
 // check --count N --seed S ... : the differential conformance driver.
-// With --stream the run is the streamed-vs-blob delivery differential
-// (src/check/stream.h) instead: --bandwidth sets the simulated link in
-// bytes/second (0 = infinite) and --chunk the stream chunk size.
+// --edits N gives every case a seeded edit trace and --stream a simulated
+// link (--bandwidth in bytes/second, 0 = infinite; --chunk the stream chunk
+// size); each adds its lens to the document lens.
 int CmdConformance(const std::vector<std::string>& args) {
   check::CheckOptions options;
-  check::StreamCheckOptions stream_options;
+  check::StreamLink link;
   bool stream = false;
   std::string replay;
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -240,10 +240,19 @@ int CmdConformance(const std::vector<std::string>& args) {
       return ParseLong(args[++j]);
     };
     if (args[i] == "--count" && (value = long_after(i))) {
+      if (*value < 1 || *value > std::numeric_limits<int>::max()) {
+        return BadFlag("check: --count must be a positive integer");
+      }
       options.count = static_cast<int>(*value);
     } else if (args[i] == "--leaves" && (value = long_after(i))) {
+      if (*value < 1 || *value > std::numeric_limits<int>::max()) {
+        return BadFlag("check: --leaves must be a positive integer");
+      }
       options.target_leaves = static_cast<int>(*value);
     } else if (args[i] == "--edits" && (value = long_after(i))) {
+      if (*value < 0 || *value > std::numeric_limits<int>::max()) {
+        return BadFlag("check: --edits must be a non-negative integer");
+      }
       options.edits = static_cast<int>(*value);
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
       std::optional<std::uint64_t> seed = ParseSeed(args[++i]);
@@ -268,12 +277,21 @@ int CmdConformance(const std::vector<std::string>& args) {
     } else if (args[i] == "--stream") {
       stream = true;
     } else if (args[i] == "--bandwidth" && (value = long_after(i))) {
-      stream_options.bandwidth_bytes_per_s = static_cast<std::int64_t>(*value);
+      link.bandwidth_bytes_per_s = static_cast<std::int64_t>(*value);
     } else if (args[i] == "--chunk" && (value = long_after(i))) {
-      stream_options.chunk_bytes = static_cast<std::uint64_t>(std::max(*value, 1L));
+      if (*value < 0) {
+        return BadFlag("check: --chunk must be a positive integer");
+      }
+      link.chunk_bytes = static_cast<std::uint64_t>(*value);
     } else {
       return BadFlag("check: unknown or malformed argument '" + args[i] + "'");
     }
+  }
+  if (Status s = check::ValidateLink(link); !s.ok()) {
+    return BadFlag("check: --bandwidth/--chunk: " + s.message());
+  }
+  if (stream) {
+    options.link = link;
   }
   if (!replay.empty()) {
     if (std::filesystem::is_directory(replay)) {
@@ -293,21 +311,6 @@ int CmdConformance(const std::vector<std::string>& args) {
     }
     std::cout << "replayed " << replay << ": OK\n";
     return kExitOk;
-  }
-  if (stream) {
-    stream_options.base_seed = options.base_seed;
-    stream_options.count = options.count;
-    stream_options.seeds = options.seeds;
-    stream_options.target_leaves = options.target_leaves;
-    stream_options.shrink = options.shrink;
-    stream_options.reproducer_dir = options.reproducer_dir;
-    stream_options.profile = options.profile;
-    auto report = check::RunStreamCheck(stream_options);
-    if (!report.ok()) {
-      return Fail(report.status());
-    }
-    std::cout << report->Summary();
-    return report->ok() ? kExitOk : kExitFailure;
   }
   auto report = check::RunDifferentialCheck(options);
   if (!report.ok()) {
@@ -1077,7 +1080,8 @@ int Usage() {
   std::cerr << "usage: cmif_tool <sample-news [stories] | check <doc> [catalog] | tree <doc> |"
                " arcs <doc> |\n"
                "                  check [--count N] [--seed S] [--seeds a,b,c] [--leaves L]"
-               " [--edits N] [--no-shrink] [--shrink-dir D] [--replay <file|dir>] |\n"
+               " [--edits N] [--stream [--bandwidth B] [--chunk C]] [--no-shrink]"
+               " [--shrink-dir D] [--replay <file|dir>] |\n"
                "                  schedule <doc> [catalog] | play <doc> <catalog> [profile] |\n"
                "                  edit <doc> [catalog] --ops <file> [--out FILE] [--timeline] |\n"
                "                  render <doc> <catalog> <seconds> <out.ppm> |\n"
