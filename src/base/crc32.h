@@ -1,7 +1,10 @@
 // CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the checksum used
-// to protect persisted block payloads against corruption in transit or on
-// disk. Dependency-free table-driven implementation; the standard check
-// value is Crc32("123456789") == 0xCBF43926.
+// to protect wire frames, persisted block payloads and persistent-cache
+// entries against corruption in transit or on disk. Dependency-free
+// slicing-by-8 kernel: eight 256-entry tables fold eight bytes per step,
+// and the classic bytewise table finishes the tail, so results are
+// bit-identical to the bytewise algorithm at any length or alignment. The
+// standard check value is Crc32("123456789") == 0xCBF43926.
 #ifndef SRC_BASE_CRC32_H_
 #define SRC_BASE_CRC32_H_
 

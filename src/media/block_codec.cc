@@ -1,5 +1,8 @@
 #include "src/media/block_codec.h"
 
+#include <cstring>
+#include <type_traits>
+
 #include "src/base/codec_util.h"
 #include "src/base/string_util.h"
 #include "src/base/varint.h"
@@ -22,12 +25,25 @@ StatusOr<MediaType> CheckMediaType(std::uint64_t raw) {
   return static_cast<MediaType>(raw);
 }
 
-void PutRaster(std::string& out, const Raster& image) {
-  for (const Pixel& p : image.pixels()) {
-    out.push_back(static_cast<char>(p.r));
-    out.push_back(static_cast<char>(p.g));
-    out.push_back(static_cast<char>(p.b));
+// Grows `out` by exactly `bytes` and returns where the new tail starts: the
+// bulk sections (samples, pixels) are written in place after one exact-size
+// growth instead of being appended element by element.
+char* GrowBy(std::string& out, std::size_t bytes) {
+  const std::size_t start = out.size();
+  out.resize(start + bytes);
+  return out.data() + start;
+}
+
+// Pixel is three bytes in r, g, b order, so a raster's row-major storage is
+// already its wire encoding.
+static_assert(sizeof(Pixel) == 3 && std::is_trivially_copyable_v<Pixel>);
+
+char* PutPixels(char* dst, const Raster& image) {
+  const std::size_t bytes = image.pixels().size() * sizeof(Pixel);
+  if (bytes > 0) {  // an empty raster's data() may be null
+    std::memcpy(dst, image.pixels().data(), bytes);
   }
+  return dst + bytes;
 }
 
 // Reads width*height raw RGB triples at *pos (bounds already validated).
@@ -74,10 +90,11 @@ std::string EncodeBlockPayload(const DataBlock& block) {
       PutVarint64(out, static_cast<std::uint64_t>(audio.rate()));
       PutVarint64(out, static_cast<std::uint64_t>(audio.channels()));
       PutVarint64(out, audio.frames());
+      char* dst = GrowBy(out, audio.samples().size() * 2);
       for (std::int16_t sample : audio.samples()) {
-        std::uint16_t raw = static_cast<std::uint16_t>(sample);
-        out.push_back(static_cast<char>(raw & 0xff));
-        out.push_back(static_cast<char>((raw >> 8) & 0xff));
+        const std::uint16_t raw = static_cast<std::uint16_t>(sample);
+        *dst++ = static_cast<char>(raw & 0xff);
+        *dst++ = static_cast<char>(raw >> 8);
       }
       break;
     }
@@ -87,8 +104,11 @@ std::string EncodeBlockPayload(const DataBlock& block) {
       PutVarint64(out, video.frame_count());
       PutVarint64(out, static_cast<std::uint64_t>(video.width()));
       PutVarint64(out, static_cast<std::uint64_t>(video.height()));
+      const std::size_t frame_bytes = static_cast<std::size_t>(video.width()) *
+                                      static_cast<std::size_t>(video.height()) * sizeof(Pixel);
+      char* dst = GrowBy(out, video.frame_count() * frame_bytes);
       for (const Raster& frame : video.frames()) {
-        PutRaster(out, frame);
+        dst = PutPixels(dst, frame);
       }
       break;
     }
@@ -97,7 +117,7 @@ std::string EncodeBlockPayload(const DataBlock& block) {
       const Raster& image = block.image();
       PutVarint64(out, static_cast<std::uint64_t>(image.width()));
       PutVarint64(out, static_cast<std::uint64_t>(image.height()));
-      PutRaster(out, image);
+      PutPixels(GrowBy(out, image.pixels().size() * sizeof(Pixel)), image);
       break;
     }
   }

@@ -92,7 +92,15 @@ StatusOr<PresentRequest> DecodeRequest(std::string_view payload, std::uint8_t ve
 }
 
 std::string EncodeResponse(const PresentResponse& response, std::uint8_t version) {
+  // Sized up front: a blob delivery makes this a multi-megabyte string, and
+  // growing it by doubling would briefly hold twice that.
+  std::size_t estimate = 64 + response.error.message().size() + response.presentation.size() +
+                         response.server_spans.size() * 64;
+  for (const WireBlock& block : response.blocks) {
+    estimate += 2 * kMaxVarint64Bytes + block.descriptor_id.size() + block.payload.size();
+  }
   std::string out;
+  out.reserve(estimate);
   PutVarint64(out, static_cast<std::uint64_t>(response.outcome));
   PutVarint64(out, static_cast<std::uint64_t>(response.attempts < 0 ? 0 : response.attempts));
   PutVarint64(out, response.cache_hit ? 1 : 0);

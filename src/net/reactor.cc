@@ -124,18 +124,25 @@ void Reactor::Stop(std::int64_t drain_timeout_ms) {
 
 Status Reactor::SendFrame(std::uint64_t conn_id, FrameType type, std::string_view payload,
                           std::uint8_t version, bool close_after) {
+  std::string encoded = EncodeFrame(type, payload, version);
+  if (Status status = ApplySendFaults(encoded); !status.ok()) {
+    CloseConnection(conn_id);
+    return status;
+  }
+  return SendEncoded(conn_id, std::move(encoded), close_after);
+}
+
+Status Reactor::ApplySendFaults(std::string& encoded) {
   if (fault::Enabled()) {
     // A failed response write drops the connection, exactly like the
     // blocking server's WriteFrame error path did.
-    if (Status status = fault::InjectPoint("net.write"); !status.ok()) {
-      CloseConnection(conn_id);
-      return status;
-    }
-  }
-  std::string encoded = EncodeFrame(type, payload, version);
-  if (fault::Enabled()) {
+    CMIF_RETURN_IF_ERROR(fault::InjectPoint("net.write"));
     fault::MaybeCorrupt("net.frame_corrupt", encoded);
   }
+  return Status::Ok();
+}
+
+Status Reactor::SendEncoded(std::uint64_t conn_id, std::string encoded, bool close_after) {
   if (obs::Enabled()) {
     static obs::Counter& tx_bytes = obs::GetCounter("net.tx_bytes");
     static obs::Counter& tx_frames = obs::GetCounter("net.tx_frames");
@@ -261,7 +268,7 @@ void Reactor::Run() {
     if (stopping_) {
       bool flushing = false;
       for (auto& [id, conn] : conns_) {
-        if (conn->out_pos < conn->out.size()) {
+        if (!conn->out.empty()) {
           flushing = true;
           break;
         }
@@ -418,9 +425,8 @@ void Reactor::FlushOut(Conn& conn) {
   if (conn.dead()) {
     return;
   }
-  while (conn.out_pos < conn.out.size()) {
-    std::string_view remaining =
-        std::string_view(conn.out).substr(conn.out_pos);
+  while (!conn.out.empty()) {
+    std::string_view remaining = std::string_view(conn.out.front()).substr(conn.out_pos);
     if (fault::Enabled() && !fault::InjectPoint("net.partial_write").ok()) {
       // Short-write injection: this attempt moves a single byte, forcing the
       // resume-from-offset path that a full kernel buffer would.
@@ -435,14 +441,14 @@ void Reactor::FlushOut(Conn& conn) {
       return;
     }
     conn.out_pos += io.bytes;
-  }
-  if (conn.out_pos >= conn.out.size()) {
-    conn.out.clear();
-    conn.out_pos = 0;
-    if (conn.close_after_flush) {
-      MarkDead(conn, Status::Ok());
-      return;
+    if (conn.out_pos == conn.out.front().size()) {
+      conn.out.pop_front();
+      conn.out_pos = 0;
     }
+  }
+  if (conn.out.empty() && conn.close_after_flush) {
+    MarkDead(conn, Status::Ok());
+    return;
   }
   UpdateInterest(conn);
 }
@@ -455,7 +461,7 @@ void Reactor::UpdateInterest(Conn& conn) {
   if (!conn.read_eof && !conn.desynced && !conn.close_after_flush && !stopping_) {
     mask |= EPOLLIN;
   }
-  if (conn.out_pos < conn.out.size()) {
+  if (!conn.out.empty()) {
     mask |= EPOLLOUT;
   }
   if (mask != conn.events) {
@@ -481,10 +487,15 @@ Status Reactor::SendFrameLocked(std::uint64_t conn_id, std::string encoded, bool
     return NotFoundError("connection closed");
   }
   Conn& conn = *it->second;
-  if (conn.out.empty() && conn.out_pos != 0) {
-    conn.out_pos = 0;
+  // Frames below this size coalesce into a small tail; larger ones queue
+  // as their own buffer.
+  constexpr std::size_t kCoalesceBytes = 16u << 10;
+  if (!conn.out.empty() && encoded.size() < kCoalesceBytes &&
+      conn.out.back().size() < kCoalesceBytes) {
+    conn.out.back().append(encoded);
+  } else {
+    conn.out.push_back(std::move(encoded));
   }
-  conn.out.append(encoded);
   if (close_after) {
     conn.close_after_flush = true;
   }

@@ -29,6 +29,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -90,12 +91,25 @@ class Reactor {
 
   int port() const { return listener_.port(); }
 
-  // Queues one frame on a connection (any thread). close_after closes the
-  // connection once the frame (and everything queued before it) is flushed.
-  // kNotFound when the connection is already gone — a response racing a
-  // disconnect, not an error worth propagating to anyone.
+  // Queues one frame on a connection (any thread): EncodeFrame, then
+  // ApplySendFaults (a failed write closes the connection instead), then
+  // SendEncoded.
   Status SendFrame(std::uint64_t conn_id, FrameType type, std::string_view payload,
                    std::uint8_t version = kWireVersion, bool close_after = false);
+
+  // Queues one already-encoded frame on a connection (any thread), taking
+  // its bytes by move. close_after closes the connection once the frame
+  // (and everything queued before it) is flushed. kNotFound when the
+  // connection is already gone — a response racing a disconnect, not an
+  // error worth propagating to anyone. Callers that encode ahead of a lock
+  // of their own hold that lock only for this hand-off.
+  Status SendEncoded(std::uint64_t conn_id, std::string encoded, bool close_after = false);
+
+  // The send-side fault hooks, run on a frame before it is queued:
+  // "net.write" fails it (the sender closes the connection in its place)
+  // and "net.frame_corrupt" flips bytes of it in transit (the peer's CRC
+  // check catches that). A no-op without a fault plan; thread-safe.
+  static Status ApplySendFaults(std::string& encoded);
 
   // Closes a connection after flushing anything already queued (any thread).
   void CloseConnection(std::uint64_t conn_id);
@@ -115,8 +129,13 @@ class Reactor {
     std::uint64_t id = 0;
     Socket socket;
     FrameAssembler assembler;
-    std::string out;            // buffered response bytes
-    std::size_t out_pos = 0;    // flushed prefix of `out`
+    // Encoded frames waiting to flush, in order, moved in as posted (a
+    // large frame is never copied again, and each frees as soon as it has
+    // flushed); small frames coalesce into the tail so a burst of small
+    // responses still leaves in one write. out_pos is the flushed prefix of
+    // out.front(); a fully flushed front is popped at once.
+    std::deque<std::string> out;
+    std::size_t out_pos = 0;
     std::uint32_t events = 0;   // current epoll interest mask
     bool close_after_flush = false;
     bool read_eof = false;      // peer half-closed; stop reading

@@ -144,34 +144,41 @@ std::uint64_t NetServer::AssignSlot(std::uint64_t conn_id) {
   return slot;
 }
 
+NetServer::OutFrame NetServer::Outgoing(std::string encoded) {
+  OutFrame frame;
+  frame.dropped = !Reactor::ApplySendFaults(encoded).ok();
+  frame.bytes = std::move(encoded);
+  return frame;
+}
+
 void NetServer::CompleteSlot(std::uint64_t conn_id, std::uint64_t slot, FrameType type,
-                             std::string payload, std::uint8_t version, bool close_after) {
-  std::vector<OutFrame> frames(1);
-  frames[0].type = type;
-  frames[0].payload = std::move(payload);
-  CompleteSlotFrames(conn_id, slot, std::move(frames), version, close_after);
+                             std::string_view payload, std::uint8_t version, bool close_after) {
+  std::vector<OutFrame> frames;
+  frames.push_back(Outgoing(EncodeFrame(type, payload, version)));
+  CompleteSlotFrames(conn_id, slot, std::move(frames), close_after);
 }
 
 void NetServer::CompleteSlotFrames(std::uint64_t conn_id, std::uint64_t slot,
-                                   std::vector<OutFrame> frames, std::uint8_t version,
-                                   bool close_after) {
+                                   std::vector<OutFrame> frames, bool close_after) {
+  // Every frame arrives here encoded — CRC, copies and fault hooks were paid
+  // on the calling worker — so mu_ covers only bookkeeping and the hand-off.
   // The ready prefix is popped AND handed to the reactor while still holding
-  // mu_. Releasing the lock between the pop and SendFrame would open a race:
-  // a worker completing slot N+1 could post its response to the reactor's
-  // FIFO mailbox before the preempted worker that popped slot N, flushing
-  // responses out of request order (clients match responses positionally —
-  // the protocol has no request ids). SendFrame only takes the reactor's own
-  // mailbox lock and the reactor never acquires mu_ while holding it, so
-  // there is no lock cycle. A multi-frame slot (a stream) is posted to the
-  // mailbox frame-by-frame inside the same locked section, so its sequence
-  // is as atomic as a single response.
+  // mu_. Releasing the lock between the pop and SendEncoded would open a
+  // race: a worker completing slot N+1 could post its response to the
+  // reactor's FIFO mailbox before the preempted worker that popped slot N,
+  // flushing responses out of request order (clients match responses
+  // positionally — the protocol has no request ids). SendEncoded only takes
+  // the reactor's own mailbox lock and the reactor never acquires mu_ while
+  // holding it, so there is no lock cycle. A multi-frame slot (a stream) is
+  // posted to the mailbox frame-by-frame inside the same locked section, so
+  // its sequence is as atomic as a single response.
   MutexLock lock(mu_);
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) {
     return;  // connection died while the request was in flight
   }
   ConnState& conn = it->second;
-  if (slot < conn.base_slot) {
+  if (conn.dropped || slot < conn.base_slot) {
     return;
   }
   const std::size_t index = static_cast<std::size_t>(slot - conn.base_slot);
@@ -181,7 +188,6 @@ void NetServer::CompleteSlotFrames(std::uint64_t conn_id, std::uint64_t slot,
   Slot& pending = conn.slots[index];
   pending.ready = true;
   pending.close_after = close_after;
-  pending.version = version;
   pending.frames = std::move(frames);
   while (!conn.slots.empty() && conn.slots.front().ready) {
     Slot next = std::move(conn.slots.front());
@@ -190,12 +196,18 @@ void NetServer::CompleteSlotFrames(std::uint64_t conn_id, std::uint64_t slot,
     // conn.eof && slots.empty() can only hold on the final pop, so this is
     // the old "close once the pipeline drains after EOF" condition.
     const bool close = next.close_after || (conn.eof && conn.slots.empty());
-    // kNotFound (connection raced away) is not worth propagating: the
-    // response had nowhere to go.
     for (std::size_t i = 0; i < next.frames.size(); ++i) {
+      if (next.frames[i].dropped) {
+        // The injected write failure drops the connection after whatever
+        // went out before this frame.
+        conn.dropped = true;
+        reactor_->CloseConnection(conn_id);
+        return;
+      }
+      // kNotFound (connection raced away) is not worth propagating: the
+      // response had nowhere to go.
       const bool last = i + 1 == next.frames.size();
-      (void)reactor_->SendFrame(conn_id, next.frames[i].type, next.frames[i].payload,
-                                next.version, close && last);
+      (void)reactor_->SendEncoded(conn_id, std::move(next.frames[i].bytes), close && last);
     }
   }
 }
@@ -218,7 +230,7 @@ void NetServer::OnFrame(std::uint64_t conn_id, Frame frame) {
   switch (frame.type) {
     case FrameType::kPing: {
       const std::uint64_t slot = AssignSlot(conn_id);
-      CompleteSlot(conn_id, slot, FrameType::kPong, std::move(frame.payload), frame.version);
+      CompleteSlot(conn_id, slot, FrameType::kPong, frame.payload, frame.version);
       return;
     }
     case FrameType::kStatsRequest: {
@@ -243,8 +255,9 @@ void NetServer::OnFrame(std::uint64_t conn_id, Frame frame) {
       Admit(std::move(*request),
             [this, conn_id, slot, version](PresentResponse response,
                                            std::shared_ptr<const CompiledPresentation>) {
-              CompleteSlot(conn_id, slot, FrameType::kResponse,
-                           EncodeResponse(response, version), version);
+              const std::string payload = EncodeResponse(response, version);
+              response = PresentResponse();  // a blob's blocks are in `payload` now
+              CompleteSlot(conn_id, slot, FrameType::kResponse, payload, version);
             });
       return;
     }
@@ -530,26 +543,33 @@ PresentResponse NetServer::Process(const PresentRequest& request,
   return response;
 }
 
-PresentResponse NetServer::HandleExpired(const PresentRequest& request,
-                                         std::shared_ptr<const CompiledPresentation>* presentation) {
-  const Status reason = ResourceExhaustedError("deadline expired in scheduler queue");
-  PresentResponse response;
+StatusOr<ServeRequest> NetServer::Resolve(const PresentRequest& request) const {
   auto doc = documents_.find(request.document);
   if (doc == documents_.end()) {
-    response.error = NotFoundError("unknown document '" + request.document + "'");
-    return response;
+    return NotFoundError("unknown document '" + request.document + "'");
   }
   ServeRequest serve_request;
   serve_request.document = doc->second;
   if (!request.profile.empty()) {
     auto profile = profiles_.find(request.profile);
     if (profile == profiles_.end()) {
-      response.error = NotFoundError("unknown profile '" + request.profile + "'");
-      return response;
+      return NotFoundError("unknown profile '" + request.profile + "'");
     }
     serve_request.profile = profile->second;
   }
-  ServeResponse served = loop_.ServeStale(serve_request, reason);
+  return serve_request;
+}
+
+PresentResponse NetServer::HandleExpired(const PresentRequest& request,
+                                         std::shared_ptr<const CompiledPresentation>* presentation) {
+  const Status reason = ResourceExhaustedError("deadline expired in scheduler queue");
+  PresentResponse response;
+  StatusOr<ServeRequest> serve_request = Resolve(request);
+  if (!serve_request.ok()) {
+    response.error = serve_request.status();
+    return response;
+  }
+  ServeResponse served = loop_.ServeStale(*serve_request, reason);
   response.attempts = served.attempts;
   response.cache_hit = served.cache_hit;
   response.error = served.error;
@@ -631,23 +651,12 @@ StatsSnapshot NetServer::Snapshot() const {
 PresentResponse NetServer::HandleRequest(const PresentRequest& request,
                                          std::shared_ptr<const CompiledPresentation>* presentation) {
   PresentResponse response;
-  auto doc = documents_.find(request.document);
-  if (doc == documents_.end()) {
-    response.error = NotFoundError("unknown document '" + request.document + "'");
+  StatusOr<ServeRequest> serve_request = Resolve(request);
+  if (!serve_request.ok()) {
+    response.error = serve_request.status();
     return response;
   }
-  ServeRequest serve_request;
-  serve_request.document = doc->second;
-  if (!request.profile.empty()) {
-    auto profile = profiles_.find(request.profile);
-    if (profile == profiles_.end()) {
-      response.error = NotFoundError("unknown profile '" + request.profile + "'");
-      return response;
-    }
-    serve_request.profile = profile->second;
-  }
-
-  ServeResponse served = loop_.Serve(serve_request);
+  ServeResponse served = loop_.Serve(*serve_request);
   response.attempts = served.attempts;
   response.cache_hit = served.cache_hit;
   response.error = served.error;
@@ -672,40 +681,21 @@ PresentResponse NetServer::HandleRequest(const PresentRequest& request,
     // v4 blob delivery: the same plan the stream path would send, inline.
     // A plan failure leaves blocks empty rather than failing a request that
     // already served its presentation.
-    StatusOr<StreamPlan> plan = BuildPlanFor(request, *served.presentation);
+    StatusOr<std::shared_ptr<const StreamPlan>> plan =
+        loop_.StreamPlanFor(*serve_request, *served.presentation, request.channels);
     if (plan.ok()) {
-      response.blocks.reserve(plan->blocks.size());
-      for (const PrefetchBlock& block : plan->blocks) {
+      const StreamPlan& delivery = **plan;
+      response.blocks.reserve(delivery.blocks.size());
+      for (const PrefetchBlock& block : delivery.blocks) {
         WireBlock wire;
         wire.descriptor_id = block.descriptor_id;
-        wire.payload = plan->bytes.substr(static_cast<std::size_t>(block.offset),
-                                          static_cast<std::size_t>(block.bytes));
+        wire.payload = delivery.bytes.substr(static_cast<std::size_t>(block.offset),
+                                             static_cast<std::size_t>(block.bytes));
         response.blocks.push_back(std::move(wire));
       }
     }
   }
   return response;
-}
-
-StatusOr<StreamPlan> NetServer::BuildPlanFor(const PresentRequest& request,
-                                             const CompiledPresentation& presentation) const {
-  const std::vector<SystemProfile>& profiles = loop_.options().profiles;
-  SystemProfile profile;
-  if (!profiles.empty()) {
-    profile = profiles[0];
-    if (!request.profile.empty()) {
-      auto it = profiles_.find(request.profile);
-      if (it != profiles_.end()) {
-        profile = profiles[it->second];
-      }
-    }
-  }
-  const ServeCorpus& corpus = loop_.corpus();
-  return corpus.store().WithRead([&](const DescriptorStore& store) {
-    return corpus.blocks().WithRead([&](const BlockStore& blocks) {
-      return BuildStreamPlan(presentation, store, blocks, profile, request.channels);
-    });
-  });
 }
 
 void NetServer::CompleteStream(std::uint64_t conn_id, std::uint64_t slot,
@@ -715,22 +705,28 @@ void NetServer::CompleteStream(std::uint64_t conn_id, std::uint64_t slot,
   // Nothing to stream (failed/shed serve, or a v<4 frame that should not
   // have carried a stream request): answer the plain response — the client
   // treats a kResponse where it expected kStreamBegin as its blob fallback.
-  StatusOr<StreamPlan> plan = InternalError("no presentation");
+  StatusOr<std::shared_ptr<const StreamPlan>> planned = InternalError("no presentation");
   if (version >= 4 && presentation != nullptr && !response.shed &&
       response.outcome != ServeOutcome::kFailed) {
-    plan = BuildPlanFor(stream.request, *presentation);
+    if (StatusOr<ServeRequest> serve_request = Resolve(stream.request); serve_request.ok()) {
+      planned = loop_.StreamPlanFor(*serve_request, *presentation, stream.request.channels);
+    }
   }
-  if (!plan.ok()) {
+  if (!planned.ok()) {
     CompleteSlot(conn_id, slot, FrameType::kResponse, EncodeResponse(response, version),
                  version);
     return;
   }
+  // Shared and immutable (possibly the memoized plan other streams are
+  // reading right now): chunks are framed straight from views into it.
+  const StreamPlan& plan = **planned;
+  const std::string_view bytes = plan.bytes;
 
   const std::uint64_t chunk_bytes =
       std::clamp<std::uint64_t>(stream.chunk_bytes, kMinChunkBytes, kMaxChunkBytes);
-  const std::uint64_t total_chunks = StreamChunkCount(plan->total_bytes(), chunk_bytes);
+  const std::uint64_t total_chunks = StreamChunkCount(plan.total_bytes(), chunk_bytes);
   const std::uint64_t stream_id =
-      DeriveStreamId(response.presentation_hash, plan->payload_hash, chunk_bytes);
+      DeriveStreamId(response.presentation_hash, plan.payload_hash, chunk_bytes);
   // A resume is honored only when it names this exact byte stream; anything
   // else (a recompile, a different chunk size) restarts from chunk 0.
   std::uint64_t resumed_from = 0;
@@ -744,10 +740,10 @@ void NetServer::CompleteStream(std::uint64_t conn_id, std::uint64_t slot,
   begin.prefix.blocks.clear();  // chunks are the delivery path
   begin.chunk_bytes = chunk_bytes;
   begin.total_chunks = total_chunks;
-  begin.payload_hash = plan->payload_hash;
+  begin.payload_hash = plan.payload_hash;
   begin.resumed_from = resumed_from;
-  begin.manifest.reserve(plan->blocks.size());
-  for (const PrefetchBlock& block : plan->blocks) {
+  begin.manifest.reserve(plan.blocks.size());
+  for (const PrefetchBlock& block : plan.blocks) {
     StreamBlockInfo info;
     info.descriptor_id = block.descriptor_id;
     info.bytes = block.bytes;
@@ -755,46 +751,50 @@ void NetServer::CompleteStream(std::uint64_t conn_id, std::uint64_t slot,
     begin.manifest.push_back(std::move(info));
   }
 
+  // Every frame is encoded here, on the worker, before the sequencer lock.
   std::vector<OutFrame> frames;
   frames.reserve(static_cast<std::size_t>(total_chunks - resumed_from) + 2);
-  frames.push_back({FrameType::kStreamBegin, EncodeStreamBegin(begin, version)});
+  frames.push_back(
+      Outgoing(EncodeFrame(FrameType::kStreamBegin, EncodeStreamBegin(begin, version), version)));
   std::uint64_t chunks_sent = 0;
   std::uint64_t bytes_sent = 0;
   bool cut = false;
+  std::string corrupted;
   for (std::uint64_t index = resumed_from; index < total_chunks; ++index) {
     // Chunk-level chaos: a "drop" cuts the stream mid-flight (the client
     // reconnects and resumes at its chunk boundary); a "corrupt" flips
     // payload bytes *before* framing, so the frame CRC passes and only the
-    // end-to-end payload hash catches it.
+    // end-to-end payload hash catches it. The flip lands in a per-request
+    // copy, never in the shared plan.
     if (!fault::InjectPoint("net.chunk.drop").ok()) {
       cut = true;
       break;
     }
-    StreamChunk chunk;
-    chunk.stream_id = stream_id;
-    chunk.chunk_index = index;
-    const std::uint64_t offset = index * chunk_bytes;
-    chunk.payload = plan->bytes.substr(
-        static_cast<std::size_t>(offset),
-        static_cast<std::size_t>(std::min<std::uint64_t>(chunk_bytes,
-                                                         plan->total_bytes() - offset)));
-    fault::MaybeCorrupt("net.chunk.corrupt", chunk.payload);
+    const std::size_t offset = static_cast<std::size_t>(index * chunk_bytes);
+    std::string_view payload = bytes.substr(offset, static_cast<std::size_t>(chunk_bytes));
+    if (fault::Enabled()) {
+      corrupted.assign(payload);
+      if (fault::MaybeCorrupt("net.chunk.corrupt", corrupted)) {
+        payload = corrupted;
+      }
+    }
     ++chunks_sent;
-    bytes_sent += chunk.payload.size();
-    frames.push_back({FrameType::kStreamChunk, EncodeStreamChunk(chunk, version)});
+    bytes_sent += payload.size();
+    frames.push_back(Outgoing(EncodeStreamChunkFrame(stream_id, index, payload, version)));
   }
   if (!cut) {
     StreamEnd end;
     end.stream_id = stream_id;
     end.total_chunks = total_chunks;
-    end.payload_hash = plan->payload_hash;
-    frames.push_back({FrameType::kStreamEnd, EncodeStreamEnd(end, version)});
+    end.payload_hash = plan.payload_hash;
+    frames.push_back(
+        Outgoing(EncodeFrame(FrameType::kStreamEnd, EncodeStreamEnd(end, version), version)));
   }
 
   streams_.fetch_add(1, std::memory_order_relaxed);
   stream_chunks_.fetch_add(chunks_sent, std::memory_order_relaxed);
   stream_bytes_.fetch_add(bytes_sent, std::memory_order_relaxed);
-  stream_full_bytes_.fetch_add(plan->total_bytes(), std::memory_order_relaxed);
+  stream_full_bytes_.fetch_add(plan.total_bytes(), std::memory_order_relaxed);
   if (resumed_from > 0) {
     stream_resumes_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -804,7 +804,7 @@ void NetServer::CompleteStream(std::uint64_t conn_id, std::uint64_t slot,
   }
   // A cut stream closes the connection after the partial flush, exactly
   // like a mid-transfer network failure would.
-  CompleteSlotFrames(conn_id, slot, std::move(frames), version, /*close_after=*/cut);
+  CompleteSlotFrames(conn_id, slot, std::move(frames), /*close_after=*/cut);
 }
 
 }  // namespace net

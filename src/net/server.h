@@ -35,6 +35,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -121,11 +122,15 @@ class NetServer {
   StatsSnapshot Snapshot() const CMIF_EXCLUDES(mu_);
 
  private:
-  // One encoded frame waiting to go out.
+  // One frame ready for the wire: encoded, CRC'd and run through the
+  // reactor's send-side fault hooks before the sequencer lock is taken.
+  // `dropped` marks a frame whose "net.write" hook failed: the connection
+  // closes where it would have gone out.
   struct OutFrame {
-    FrameType type = FrameType::kResponse;
-    std::string payload;
+    std::string bytes;
+    bool dropped = false;
   };
+  static OutFrame Outgoing(std::string encoded);
 
   // One response waiting its turn in a connection's pipeline. Slots are
   // assigned in frame-arrival order on the reactor thread and flushed in
@@ -136,7 +141,6 @@ class NetServer {
   struct Slot {
     bool ready = false;
     bool close_after = false;  // drop the connection once this flushes
-    std::uint8_t version = kWireVersion;
     std::vector<OutFrame> frames;
   };
 
@@ -145,6 +149,10 @@ class NetServer {
     std::uint64_t base_slot = 0;  // absolute index of slots.front()
     std::uint64_t next_slot = 0;  // next to assign
     bool eof = false;  // peer half-closed; close once the pipeline drains
+    // A frame was dropped and the connection is closing: nothing after it
+    // may go out, or the peer would pair later responses with the wrong
+    // requests (responses are matched positionally).
+    bool dropped = false;
   };
 
   // The shared tail of a kBatchRequest: sub-responses land positionally,
@@ -162,15 +170,16 @@ class NetServer {
 
   // Assigns the next response slot for `conn_id` (reactor thread).
   std::uint64_t AssignSlot(std::uint64_t conn_id) CMIF_EXCLUDES(mu_);
-  // Fills a slot and flushes the connection's contiguous ready prefix
-  // through the reactor (any thread).
+  // Encodes one frame, fills a slot with it and flushes the connection's
+  // contiguous ready prefix through the reactor (any thread).
   void CompleteSlot(std::uint64_t conn_id, std::uint64_t slot, FrameType type,
-                    std::string payload, std::uint8_t version, bool close_after = false)
+                    std::string_view payload, std::uint8_t version, bool close_after = false)
       CMIF_EXCLUDES(mu_);
-  // Multi-frame variant: the whole frame sequence occupies one slot.
+  // Multi-frame variant: the whole (already encoded) frame sequence
+  // occupies one slot.
   void CompleteSlotFrames(std::uint64_t conn_id, std::uint64_t slot,
-                          std::vector<OutFrame> frames, std::uint8_t version,
-                          bool close_after = false) CMIF_EXCLUDES(mu_);
+                          std::vector<OutFrame> frames, bool close_after = false)
+      CMIF_EXCLUDES(mu_);
 
   // A request completion: the wire response plus the compiled presentation
   // behind it (null when nothing was served) — the streaming and
@@ -185,6 +194,9 @@ class NetServer {
   // ladder — or the stale-degrade path when the deadline expired in queue.
   PresentResponse Process(const PresentRequest& request, const RequestScheduler::Item& item,
                           std::shared_ptr<const CompiledPresentation>* presentation);
+  // Wire names -> corpus and profile indices; an empty profile name means
+  // the loop's first profile. kNotFound for an unknown name.
+  StatusOr<ServeRequest> Resolve(const PresentRequest& request) const;
   // Name -> index resolution plus the serve call (no trace bookkeeping).
   PresentResponse HandleRequest(const PresentRequest& request,
                                 std::shared_ptr<const CompiledPresentation>* presentation);
@@ -194,13 +206,10 @@ class NetServer {
                                 std::shared_ptr<const CompiledPresentation>* presentation);
   PresentResponse ShedResponse(const Status& reason) const;
 
-  // Builds the delivery plan for a served request under the shared stores'
-  // read locks (resolving the request's profile name like HandleRequest).
-  StatusOr<StreamPlan> BuildPlanFor(const PresentRequest& request,
-                                    const CompiledPresentation& presentation) const;
-  // Worker-side completion of a kStreamRequest: encodes the
-  // kStreamBegin..kStreamEnd sequence into the reserved slot — or a plain
-  // kResponse when there is nothing to stream (the client's blob fallback).
+  // Worker-side completion of a kStreamRequest: frames the
+  // kStreamBegin..kStreamEnd sequence from the loop's (memoized) delivery
+  // plan into the reserved slot — or a plain kResponse when there is
+  // nothing to stream (the client's blob fallback).
   void CompleteStream(std::uint64_t conn_id, std::uint64_t slot, const StreamRequest& stream,
                       PresentResponse response,
                       std::shared_ptr<const CompiledPresentation> presentation,

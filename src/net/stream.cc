@@ -134,6 +134,17 @@ std::string EncodeStreamChunk(const StreamChunk& chunk, std::uint8_t version) {
   return out;
 }
 
+std::string EncodeStreamChunkFrame(std::uint64_t stream_id, std::uint64_t chunk_index,
+                                   std::string_view payload, std::uint8_t version) {
+  // The message fields ahead of the payload bytes, laid out as
+  // EncodeStreamChunk lays them out (PutString = varint length + bytes).
+  std::string header;
+  PutVarint64(header, stream_id);
+  PutVarint64(header, chunk_index);
+  PutVarint64(header, payload.size());
+  return EncodeFrameParts(FrameType::kStreamChunk, {header, payload}, version);
+}
+
 StatusOr<StreamChunk> DecodeStreamChunk(std::string_view payload, std::uint8_t version) {
   (void)version;
   StreamChunk chunk;

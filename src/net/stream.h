@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/base/media_time.h"
@@ -123,6 +124,13 @@ StatusOr<StreamBegin> DecodeStreamBegin(std::string_view payload,
                                         std::uint8_t version = kWireVersion);
 
 std::string EncodeStreamChunk(const StreamChunk& chunk, std::uint8_t version = kWireVersion);
+// The complete kStreamChunk frame for `payload` (a slice of the stream's
+// byte string), framed straight from the view: byte-identical to
+// EncodeFrame(kStreamChunk, EncodeStreamChunk({stream_id, chunk_index,
+// payload})) with one copy of the payload instead of three.
+std::string EncodeStreamChunkFrame(std::uint64_t stream_id, std::uint64_t chunk_index,
+                                   std::string_view payload,
+                                   std::uint8_t version = kWireVersion);
 StatusOr<StreamChunk> DecodeStreamChunk(std::string_view payload,
                                         std::uint8_t version = kWireVersion);
 

@@ -134,13 +134,24 @@ std::string_view FrameTypeName(FrameType type) {
 }
 
 std::string EncodeFrame(FrameType type, std::string_view payload, std::uint8_t version) {
+  return EncodeFrameParts(type, {payload}, version);
+}
+
+std::string EncodeFrameParts(FrameType type, std::initializer_list<std::string_view> parts,
+                             std::uint8_t version) {
+  std::size_t payload_size = 0;
+  for (std::string_view part : parts) {
+    payload_size += part.size();
+  }
   std::string out;
-  out.reserve(kFrameMagic.size() + 2 + kMaxVarint64Bytes + payload.size() + 4);
+  out.reserve(kFrameMagic.size() + 2 + kMaxVarint64Bytes + payload_size + 4);
   out.append(kFrameMagic);
   out.push_back(static_cast<char>(version));
   out.push_back(static_cast<char>(type));
-  PutVarint64(out, payload.size());
-  out.append(payload);
+  PutVarint64(out, payload_size);
+  for (std::string_view part : parts) {
+    out.append(part);
+  }
   // CRC over everything after the magic: version, type, length, payload.
   std::uint32_t crc = Crc32(std::string_view(out).substr(kFrameMagic.size()));
   PutU32Le(out, crc);

@@ -30,6 +30,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -105,6 +106,13 @@ struct WireLimits {
 // Renders one complete frame in the given wire version.
 std::string EncodeFrame(FrameType type, std::string_view payload,
                         std::uint8_t version = kWireVersion);
+
+// Renders one complete frame whose payload is `parts` concatenated, without
+// joining them first: a caller framing a slice of a shared buffer behind a
+// small message header copies the slice exactly once, into the frame.
+// EncodeFrameParts(t, {a, b}) == EncodeFrame(t, a + b).
+std::string EncodeFrameParts(FrameType type, std::initializer_list<std::string_view> parts,
+                             std::uint8_t version = kWireVersion);
 
 // Decodes the frame at the front of `bytes`. On success `*consumed` is the
 // frame's total size. Truncation, a bad magic/version/type, an oversized

@@ -40,7 +40,7 @@ std::shared_ptr<const CompiledPresentation> MappingCache::Get(const MappingCache
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
   ++stats_.hits;
-  std::shared_ptr<const CompiledPresentation> value = it->second->second;
+  std::shared_ptr<const CompiledPresentation> value = it->second->presentation;
   std::size_t saved = value->CostBytes();
   stats_.bytes_saved += saved;
   if (obs::Enabled()) {
@@ -56,13 +56,14 @@ std::shared_ptr<const CompiledPresentation> MappingCache::GetStale(const Mapping
   std::lock_guard<std::mutex> lock(mu_);
   const std::shared_ptr<const CompiledPresentation>* best = nullptr;
   std::uint64_t best_generation = 0;
-  for (const auto& [entry_key, value] : lru_) {
+  for (const Entry& entry : lru_) {
+    const MappingCacheKey& entry_key = entry.key;
     if (entry_key.document_hash != key.document_hash ||
         entry_key.channel_hash != key.channel_hash || entry_key.profile != key.profile) {
       continue;
     }
     if (best == nullptr || entry_key.store_generation > best_generation) {
-      best = &value;
+      best = &entry.presentation;
       best_generation = entry_key.store_generation;
     }
   }
@@ -82,14 +83,14 @@ void MappingCache::Put(const MappingCacheKey& key,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it != index_.end()) {
-    it->second->second = std::move(value);
+    *it->second = Entry{key, std::move(value), nullptr, 0};
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.emplace_front(key, std::move(value));
+  lru_.push_front(Entry{key, std::move(value), nullptr, 0});
   index_[key] = lru_.begin();
   while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().first);
+    index_.erase(lru_.back().key);
     lru_.pop_back();
     ++stats_.evictions;
     if (obs::Enabled()) {
@@ -98,6 +99,30 @@ void MappingCache::Put(const MappingCacheKey& key,
     }
   }
   stats_.entries = lru_.size();
+}
+
+std::shared_ptr<const StreamPlan> MappingCache::GetPlan(const MappingCacheKey& key,
+                                                        const CompiledPresentation& presentation,
+                                                        std::uint64_t block_generation) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(key);
+  if (it == index_.end() || it->second->presentation.get() != &presentation ||
+      it->second->plan_block_generation != block_generation) {
+    return nullptr;
+  }
+  return it->second->plan;
+}
+
+void MappingCache::PutPlan(const MappingCacheKey& key, const CompiledPresentation& presentation,
+                           std::uint64_t block_generation,
+                           std::shared_ptr<const StreamPlan> plan) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(key);
+  if (it == index_.end() || it->second->presentation.get() != &presentation) {
+    return;
+  }
+  it->second->plan = std::move(plan);
+  it->second->plan_block_generation = block_generation;
 }
 
 MappingCache::Stats MappingCache::stats() const {

@@ -41,6 +41,10 @@ struct CompiledPresentation {
   std::size_t CostBytes() const;
 };
 
+// The delivery plan built from a compiled presentation (src/serve/
+// prefetch.h). An entry can memoize one beside its presentation.
+struct StreamPlan;
+
 struct MappingCacheKey {
   std::uint64_t document_hash = 0;   // Fnv1a64 of the serialized document
   std::uint64_t channel_hash = 0;    // Fnv1a64 over channel (name, type) pairs
@@ -84,8 +88,24 @@ class MappingCache {
   std::shared_ptr<const CompiledPresentation> GetStale(const MappingCacheKey& key);
 
   // Inserts (or replaces) an entry, evicting the least recently used entry
-  // when over capacity.
+  // when over capacity. Replacing an entry drops its memoized plan.
   void Put(const MappingCacheKey& key, std::shared_ptr<const CompiledPresentation> value);
+
+  // The stream plan memoized beside the entry under `key`: non-null only
+  // while that entry still holds `presentation` and the plan was built under
+  // `block_generation` (the key itself pins the descriptor generation and
+  // the profile). Touches neither recency nor the hit counters — the
+  // presentation lookup before it already did.
+  std::shared_ptr<const StreamPlan> GetPlan(const MappingCacheKey& key,
+                                            const CompiledPresentation& presentation,
+                                            std::uint64_t block_generation) const;
+
+  // Memoizes `plan` beside the entry under `key` when that entry still
+  // holds `presentation`; an evicted or replaced entry drops it. The plan
+  // lives exactly as long as its entry, so Clear(), eviction and the
+  // capacity bound plans too.
+  void PutPlan(const MappingCacheKey& key, const CompiledPresentation& presentation,
+               std::uint64_t block_generation, std::shared_ptr<const StreamPlan> plan);
 
   Stats stats() const;
   std::size_t capacity() const { return capacity_; }
@@ -94,7 +114,14 @@ class MappingCache {
   void Clear();
 
  private:
-  using LruList = std::list<std::pair<MappingCacheKey, std::shared_ptr<const CompiledPresentation>>>;
+  struct Entry {
+    MappingCacheKey key;
+    std::shared_ptr<const CompiledPresentation> presentation;
+    // Null until the entry's presentation is first planned for delivery.
+    std::shared_ptr<const StreamPlan> plan;
+    std::uint64_t plan_block_generation = 0;
+  };
+  using LruList = std::list<Entry>;
 
   std::size_t capacity_;
   mutable std::mutex mu_;

@@ -352,6 +352,46 @@ ServeResponse ServeLoop::ServeStale(const ServeRequest& request, Status reason) 
   return response;
 }
 
+StatusOr<std::shared_ptr<const StreamPlan>> ServeLoop::StreamPlanFor(
+    const ServeRequest& request, const CompiledPresentation& presentation,
+    const std::vector<std::string>& channels) {
+  if (request.document >= corpus_.size() || request.profile >= options_.profiles.size()) {
+    return InvalidArgumentError("stream plan request outside corpus/profile range");
+  }
+  const ServeDocument& doc = corpus_.document(request.document);
+  const SystemProfile& profile = options_.profiles[request.profile];
+  const bool memoizable = options_.use_cache && channels.empty();
+  using PlanOr = StatusOr<std::shared_ptr<const StreamPlan>>;
+  return corpus_.store().WithRead([&](const DescriptorStore& store) -> PlanOr {
+    return corpus_.blocks().WithRead([&](const BlockStore& blocks) -> PlanOr {
+      // Both generations are read under their read locks, so they name
+      // exactly the catalog state a build here reads (the compile path's
+      // discipline).
+      MappingCacheKey key;
+      key.document_hash = doc.document_hash;
+      key.channel_hash = doc.channel_hash;
+      key.store_generation = corpus_.store().generation();
+      key.profile = profile.name;
+      const std::uint64_t block_generation = corpus_.blocks().generation();
+      if (memoizable) {
+        if (std::shared_ptr<const StreamPlan> plan =
+                cache_.GetPlan(key, presentation, block_generation)) {
+          return plan;
+        }
+      }
+      CMIF_ASSIGN_OR_RETURN(StreamPlan built,
+                            BuildStreamPlan(presentation, store, blocks, profile, channels));
+      auto plan = std::make_shared<const StreamPlan>(std::move(built));
+      // A degraded plan carries placeholders for blocks that failed to
+      // load; it answers this request only.
+      if (memoizable && !plan->degraded) {
+        cache_.PutPlan(key, presentation, block_generation, plan);
+      }
+      return plan;
+    });
+  });
+}
+
 StatusOr<std::shared_ptr<const CompiledPresentation>> ServeLoop::Handle(
     const ServeRequest& request) {
   ServeResponse response = Serve(request);

@@ -23,6 +23,7 @@
 #include "src/present/capability.h"
 #include "src/serve/mapping_cache.h"
 #include "src/serve/persistent_cache.h"
+#include "src/serve/prefetch.h"
 
 namespace cmif {
 
@@ -188,6 +189,18 @@ class ServeLoop {
   // of load, and ignores enable_degraded (the caller already decided to
   // degrade — that is the point of calling this).
   ServeResponse ServeStale(const ServeRequest& request, Status reason);
+
+  // The delivery plan (src/serve/prefetch.h) for `presentation`, served for
+  // `request` and restricted to `channels`. The whole-document plan is
+  // memoized beside the mapping-cache entry that holds `presentation`, and
+  // reused while the descriptor-store generation (in the entry's key), the
+  // block-store generation and the profile are the ones it was built under —
+  // a warm stream is then one cache probe, not a rebuild. A channel-filtered
+  // request, a presentation no fresh entry holds (uncached, stale, or
+  // replaced), and a degraded plan are built per call and never memoized.
+  StatusOr<std::shared_ptr<const StreamPlan>> StreamPlanFor(
+      const ServeRequest& request, const CompiledPresentation& presentation,
+      const std::vector<std::string>& channels = {});
 
   // Compatibility wrapper over Serve(): the presentation on success (healthy,
   // recovered, or degraded), the error status on failure.

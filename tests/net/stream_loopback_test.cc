@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/api/cmif.h"
 #include "src/base/string_util.h"
 #include "src/fault/fault.h"
+#include "src/pipeline/pipeline.h"
 
 namespace cmif {
 namespace net {
@@ -60,6 +63,59 @@ void ExpectSameDelivery(const StreamResult& streamed, const PresentResponse& blo
     EXPECT_EQ(streamed.blocks[i].descriptor_id, blob.blocks[i].descriptor_id) << i;
     EXPECT_EQ(streamed.blocks[i].payload, blob.blocks[i].payload) << i;
   }
+}
+
+// The blocks an in-process compile and BuildStreamPlan of corpus slot
+// `slot` carve, against the stores as they are now: what both deliveries of
+// that document must carry, whatever the server memoized.
+std::vector<WireBlock> InProcessCarve(const ServeCorpus& corpus, std::size_t slot,
+                                      const SystemProfile& profile,
+                                      const std::vector<std::string>& channels = {}) {
+  auto plan = corpus.store().WithRead([&](const DescriptorStore& store) {
+    return corpus.blocks().WithRead([&](const BlockStore& blocks) -> StatusOr<StreamPlan> {
+      PipelineOptions options;
+      options.profile = profile;
+      CMIF_ASSIGN_OR_RETURN(CompileReport report,
+                            api::Compile(corpus.document(slot).document, store, blocks, options));
+      CompiledPresentation compiled;
+      compiled.map = std::move(report.presentation_map);
+      compiled.filter = std::move(report.filter);
+      compiled.schedule = std::move(report.schedule);
+      return BuildStreamPlan(compiled, store, blocks, profile, channels);
+    });
+  });
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  std::vector<WireBlock> carved;
+  if (plan.ok()) {
+    for (const PrefetchBlock& block : plan->blocks) {
+      carved.push_back({block.descriptor_id,
+                        plan->bytes.substr(static_cast<std::size_t>(block.offset),
+                                           static_cast<std::size_t>(block.bytes))});
+    }
+  }
+  return carved;
+}
+
+void ExpectSameBlocks(const std::vector<WireBlock>& got, const std::vector<WireBlock>& want,
+                      const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].descriptor_id, want[i].descriptor_id) << label << " block " << i;
+    EXPECT_TRUE(got[i].payload == want[i].payload) << label << " block " << i;
+  }
+}
+
+// Streams and blob-fetches `request`; both must deliver exactly `want`.
+void ExpectBothDeliveries(NetClient& client, PresentRequest request,
+                          const std::vector<WireBlock>& want, const std::string& label) {
+  auto streamed = client.PresentStream(request, kTestChunkBytes);
+  ASSERT_TRUE(streamed.ok()) << label << ": " << streamed.status();
+  ASSERT_TRUE(streamed->streamed) << label;
+  ExpectSameBlocks(streamed->blocks, want, label + " streamed");
+  request.want_blocks = true;
+  auto blob = client.Present(request);
+  ASSERT_TRUE(blob.ok()) << label << ": " << blob.status();
+  ExpectSameBlocks(blob->blocks, want, label + " blob");
 }
 
 TEST(StreamLoopbackTest, StreamedDeliveryMatchesBlobByteForByte) {
@@ -309,6 +365,155 @@ TEST(StreamLoopbackTest, ReportedStallsReachTheServerCounters) {
             StatusCode::kFailedPrecondition);
   h.server->Stop();
 }
+
+TEST(StreamLoopbackTest, MemoizedPlansStaySoundAcrossBothStoreGenerations) {
+  // The server memoizes each whole-document plan beside its cached
+  // presentation. Every slot x profile, streamed and blob-fetched twice
+  // (the second pass is served from the memo), must equal a fresh
+  // in-process build — and stay equal after each store generation moves.
+  Harness h = Harness::Start(2);
+  NetClient client = h.Client();
+  auto check_all = [&](const std::string& phase) {
+    for (std::size_t slot = 0; slot < h.corpus->size(); ++slot) {
+      for (const SystemProfile& profile : h.loop->options().profiles) {
+        PresentRequest request;
+        request.document = h.corpus->document(slot).name;
+        request.profile = profile.name;
+        const std::vector<WireBlock> want = InProcessCarve(*h.corpus, slot, profile);
+        for (int pass = 0; pass < 2; ++pass) {
+          ExpectBothDeliveries(client, request, want,
+                               StrFormat("%s pass %d slot %zu %s", phase.c_str(), pass, slot,
+                                         profile.name.c_str()));
+        }
+      }
+    }
+  };
+  check_all("initial");
+  const std::size_t one_story_blocks =
+      InProcessCarve(*h.corpus, 0, h.loop->options().profiles[0]).size();
+
+  // Descriptor generation: slot 0 is republished with slot 1's two-story
+  // text, so a plan kept from before would now be visibly wrong.
+  ASSERT_TRUE(h.corpus->UpdateDocument(0, h.corpus->document(1).document.Clone()).ok());
+  ASSERT_GT(InProcessCarve(*h.corpus, 0, h.loop->options().profiles[0]).size(),
+            one_story_blocks);
+  check_all("after UpdateDocument");
+
+  // Block-store generation: an empty write section retires every memoized
+  // plan while the cached presentations stay.
+  h.corpus->blocks().WithWrite([](BlockStore&) { return 0; });
+  check_all("after a block-store write");
+  h.server->Stop();
+}
+
+TEST(StreamLoopbackTest, ChannelFilteredStreamsGetTheFilteredPlan) {
+  Harness h = Harness::Start(1);
+  NetClient client = h.Client();
+  const SystemProfile& profile = h.loop->options().profiles[0];
+  PresentRequest whole;
+  whole.document = h.corpus->document(0).name;
+  whole.profile = profile.name;
+  const std::vector<WireBlock> all = InProcessCarve(*h.corpus, 0, profile);
+  ExpectBothDeliveries(client, whole, all, "whole document");
+
+  // Filtered plans are built per request, never taken from (or put into)
+  // the whole-document memo.
+  PresentRequest audio = whole;
+  audio.channels = {"audio"};
+  const std::vector<WireBlock> audio_only = InProcessCarve(*h.corpus, 0, profile, audio.channels);
+  EXPECT_LT(audio_only.size(), all.size());
+  ExpectBothDeliveries(client, audio, audio_only, "audio only");
+  ExpectBothDeliveries(client, whole, all, "whole document again");
+  h.server->Stop();
+}
+
+TEST(StreamLoopbackTest, ConcurrentStreamsOfOneKeyShareASoundPlan) {
+  // Two connections stream the same key at once from a cold cache: both
+  // may build the plan, one memo wins, and every delivery is the same bytes.
+  Harness h = Harness::Start(1);
+  PresentRequest request;
+  request.document = h.corpus->document(0).name;
+  const std::vector<WireBlock> want =
+      InProcessCarve(*h.corpus, 0, h.loop->options().profiles[0]);
+  auto run = [&](int connection) {
+    NetClient client = h.Client();
+    for (int i = 0; i < 4; ++i) {
+      auto streamed = client.PresentStream(request, kTestChunkBytes);
+      ASSERT_TRUE(streamed.ok()) << streamed.status();
+      ASSERT_TRUE(streamed->streamed);
+      ExpectSameBlocks(streamed->blocks, want, StrFormat("connection %d stream %d", connection, i));
+    }
+  };
+  std::thread first(run, 1);
+  std::thread second(run, 2);
+  first.join();
+  second.join();
+  h.server->Stop();
+}
+
+#ifndef CMIF_FAULT_DISABLED
+TEST(StreamLoopbackTest, ChunkCorruptionNeverReachesTheSharedPlan) {
+  // "net.chunk.corrupt" flips bytes of a per-request copy before framing;
+  // the memoized plan every later stream and blob is cut from stays clean.
+  Harness h = Harness::Start(1);
+  NetClient client = h.Client(kWireVersion, /*max_attempts=*/16);
+  const SystemProfile& profile = h.loop->options().profiles[0];
+  PresentRequest request;
+  request.document = h.corpus->document(0).name;
+  const std::vector<WireBlock> want = InProcessCarve(*h.corpus, 0, profile);
+  ExpectBothDeliveries(client, request, want, "before corruption");
+  std::uint64_t restarts = 0;
+  {
+    auto plan = fault::FaultPlan::Parse("seed=3;net.chunk.corrupt:corrupt=0.05");
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    fault::ScopedPlan chaos(*plan);
+    for (int i = 0; i < 4; ++i) {
+      auto streamed = client.PresentStream(request, kTestChunkBytes);
+      ASSERT_TRUE(streamed.ok()) << streamed.status();
+      restarts += streamed->restarts;
+    }
+  }
+  EXPECT_GT(restarts, 0u) << "the fault plan never corrupted a chunk";
+  ExpectBothDeliveries(client, request, want, "after corruption");
+  h.server->Stop();
+}
+
+TEST(StreamLoopbackTest, PlansBuiltUnderBlockFaultsAreNeverReused) {
+  // News corpora are generator-backed; move one planned block into the
+  // block store so "ddbms.block.get" can fail its fetch.
+  Harness h = Harness::Start(1);
+  const SystemProfile& profile = h.loop->options().profiles[0];
+  const std::vector<WireBlock> real = InProcessCarve(*h.corpus, 0, profile);
+  ASSERT_FALSE(real.empty());
+  std::optional<DataDescriptor> descriptor =
+      h.corpus->store().GetCopy(real.front().descriptor_id);
+  ASSERT_TRUE(descriptor.has_value());
+  auto block = h.corpus->blocks().WithRead(
+      [&](const BlockStore& blocks) { return ResolveContent(*descriptor, blocks); });
+  ASSERT_TRUE(block.ok()) << block.status();
+  h.corpus->blocks().Set("materialized/block", *block);
+  descriptor->set_content(std::string("materialized/block"));
+  h.corpus->store().Upsert(*descriptor);
+
+  NetClient client = h.Client();
+  PresentRequest request;
+  request.document = h.corpus->document(0).name;
+  ASSERT_TRUE(client.Present(request).ok());  // caches the presentation, no plan yet
+  {
+    auto plan = fault::FaultPlan::Parse("seed=5;ddbms.block.get:transient=1.0");
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    fault::ScopedPlan chaos(*plan);
+    auto degraded = client.PresentStream(request, kTestChunkBytes);
+    ASSERT_TRUE(degraded.ok()) << degraded.status();
+    ASSERT_TRUE(degraded->streamed);
+    ASSERT_EQ(degraded->blocks.size(), real.size());
+    EXPECT_FALSE(degraded->blocks.front().payload == real.front().payload)
+        << "the faulted fetch should have shipped a placeholder";
+  }
+  ExpectBothDeliveries(client, request, InProcessCarve(*h.corpus, 0, profile), "after the faults");
+  h.server->Stop();
+}
+#endif  // CMIF_FAULT_DISABLED
 
 }  // namespace
 }  // namespace net

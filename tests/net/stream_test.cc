@@ -113,6 +113,25 @@ TEST(StreamCodecTest, ChunkEncodingGolden) {
   EXPECT_EQ(EncodeStreamChunk(chunk), expected);
 }
 
+TEST(StreamCodecTest, ChunkFrameFromAViewMatchesTheTwoStepEncoding) {
+  // The server frames chunks straight from views into its shared plan;
+  // the bytes must be exactly the message-then-frame encoding, across
+  // varint widths of every field and every wire version.
+  const std::string plan(70000, 'p');
+  for (std::uint8_t version = kMinWireVersion; version <= kWireVersion; ++version) {
+    for (std::uint64_t stream_id : {std::uint64_t{0}, std::uint64_t{42}, ~std::uint64_t{0}}) {
+      for (std::size_t size : {std::size_t{1}, std::size_t{127}, std::size_t{128},
+                               std::size_t{65536}, plan.size()}) {
+        const std::string_view payload = std::string_view(plan).substr(0, size);
+        StreamChunk chunk{stream_id, 300, std::string(payload)};
+        EXPECT_EQ(EncodeStreamChunkFrame(stream_id, 300, payload, version),
+                  EncodeFrame(FrameType::kStreamChunk, EncodeStreamChunk(chunk, version), version))
+            << "version " << int{version} << " id " << stream_id << " size " << size;
+      }
+    }
+  }
+}
+
 TEST(StreamCodecTest, AckAndEndEncodingGolden) {
   EXPECT_EQ(EncodeStreamAck(StreamAck{42, 300, 1}),
             std::string("\x2a\xac\x02\x01", 4));  // 300 = LEB128 ac 02
