@@ -123,7 +123,7 @@ void BM_ServeColdCompile(benchmark::State& state) {
   ServeLoop loop(**corpus, options);
   ServeRequest request;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(loop.Handle(request));
+    benchmark::DoNotOptimize(loop.Serve(request));
   }
 }
 BENCHMARK(BM_ServeColdCompile);
@@ -135,11 +135,11 @@ void BM_ServeWarmHit(benchmark::State& state) {
   }
   ServeLoop loop(**corpus, BaseOptions());
   ServeRequest request;
-  if (!loop.Handle(request).ok()) {
+  if (!loop.Serve(request).served()) {
     std::abort();
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(loop.Handle(request));
+    benchmark::DoNotOptimize(loop.Serve(request));
   }
 }
 BENCHMARK(BM_ServeWarmHit);

@@ -249,7 +249,7 @@ void BM_ServeWarmNoPlan(benchmark::State& state) {
   }();
   static ServeLoop* const kLoop = [] {
     auto* loop = new ServeLoop(*kCorpus, ChaosServeOptions());
-    if (!loop->Handle(ServeRequest{}).ok()) {
+    if (!loop->Serve(ServeRequest{}).served()) {
       std::abort();
     }
     return loop;

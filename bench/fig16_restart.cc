@@ -191,7 +191,7 @@ void BM_ColdCompile(benchmark::State& state) {
   ServeLoop loop(**corpus, options);
   ServeRequest request;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(loop.Handle(request));
+    benchmark::DoNotOptimize(loop.Serve(request));
   }
 }
 BENCHMARK(BM_ColdCompile);
@@ -207,7 +207,7 @@ void BM_DiskTierGet(benchmark::State& state) {
   fill.cache_dir = dir.string();
   {
     ServeLoop loop(**corpus, fill);
-    if (loop.pcache() == nullptr || !loop.Handle(ServeRequest{}).ok()) {
+    if (loop.pcache() == nullptr || !loop.Serve(ServeRequest{}).served()) {
       std::abort();
     }
     loop.pcache()->Flush();

@@ -10,13 +10,7 @@
 namespace cmif {
 namespace net {
 
-NetClient::NetClient(NetClientOptions options) : options_(std::move(options)) {
-  if (options_.wire_version < kMinWireVersion) {
-    options_.wire_version = kMinWireVersion;
-  } else if (options_.wire_version > kWireVersion) {
-    options_.wire_version = kWireVersion;
-  }
-}
+NetClient::NetClient(NetClientOptions options) : options_(std::move(options)) {}
 
 void NetClient::Disconnect() { socket_.Close(); }
 
@@ -39,7 +33,7 @@ Status NetClient::EnsureConnected() {
 
 StatusOr<Frame> NetClient::RoundTripOnce(FrameType type, const std::string& payload) {
   CMIF_RETURN_IF_ERROR(EnsureConnected());
-  Status written = WriteFrame(socket_, type, payload, options_.wire_version);
+  Status written = WriteFrame(socket_, type, payload);
   if (!written.ok()) {
     Disconnect();
     return written.code() == StatusCode::kUnavailable
@@ -59,17 +53,21 @@ StatusOr<Frame> NetClient::RoundTripOnce(FrameType type, const std::string& payl
     return UnavailableError("connection closed by server");
   }
   if ((*frame)->type == FrameType::kError) {
-    // kError always precedes a server-side drop; don't reuse the stream.
-    Disconnect();
-    Status wire_status;
-    CMIF_RETURN_IF_ERROR(DecodeWireStatus((*frame)->payload, &wire_status));
-    if (wire_status.code() == StatusCode::kDataLoss) {
-      // The server saw a corrupt frame — ours was damaged in transit.
-      return UnavailableError("request corrupted in transit: " + wire_status.ToString());
-    }
-    return wire_status.ok() ? InternalError("server sent an OK error frame") : wire_status;
+    return ErrorFrameStatus(**frame);
   }
   return *std::move(*frame);
+}
+
+Status NetClient::ErrorFrameStatus(const Frame& frame) {
+  // kError always precedes a server-side drop; don't reuse the stream.
+  Disconnect();
+  Status wire_status;
+  CMIF_RETURN_IF_ERROR(DecodeWireStatus(frame.payload, &wire_status));
+  if (wire_status.code() == StatusCode::kDataLoss) {
+    // The server saw a corrupt frame — ours was damaged in transit.
+    return UnavailableError("request corrupted in transit: " + wire_status.ToString());
+  }
+  return wire_status.ok() ? InternalError("server sent an OK error frame") : wire_status;
 }
 
 StatusOr<Frame> NetClient::RoundTrip(FrameType type, const std::string& payload) {
@@ -81,9 +79,7 @@ StatusOr<Frame> NetClient::RoundTrip(FrameType type, const std::string& payload)
 StatusOr<PresentResponse> NetClient::Present(const PresentRequest& request) {
   obs::ScopedLatency latency("net.client.request_ms");
   if (!request.trace.valid()) {
-    CMIF_ASSIGN_OR_RETURN(
-        Frame frame,
-        RoundTrip(FrameType::kRequest, EncodeRequest(request, options_.wire_version)));
+    CMIF_ASSIGN_OR_RETURN(Frame frame, RoundTrip(FrameType::kRequest, EncodeRequest(request)));
     return DecodePresentFrame(std::move(frame));
   }
   // Traced path: install the context, wrap the round trip in a client span,
@@ -95,9 +91,7 @@ StatusOr<PresentResponse> NetClient::Present(const PresentRequest& request) {
     traced.trace.parent_span_id = span.id();
   }
   span.Annotate("document", request.document);
-  CMIF_ASSIGN_OR_RETURN(
-      Frame frame,
-      RoundTrip(FrameType::kRequest, EncodeRequest(traced, options_.wire_version)));
+  CMIF_ASSIGN_OR_RETURN(Frame frame, RoundTrip(FrameType::kRequest, EncodeRequest(traced)));
   StatusOr<PresentResponse> response = DecodePresentFrame(std::move(frame));
   if (response.ok()) {
     span.Annotate("server_spans", response->server_spans.size());
@@ -111,36 +105,28 @@ StatusOr<PresentResponse> NetClient::DecodePresentFrame(Frame frame) {
     return InternalError(StrFormat("expected a response frame, got %s",
                                    std::string(FrameTypeName(frame.type)).c_str()));
   }
-  // Decode by the version the frame itself declares: the server mirrors the
-  // request frame's version, so a v2 request gets a v2-shaped answer even
-  // from a v3 server.
-  StatusOr<PresentResponse> response = DecodeResponse(frame.payload, frame.version);
+  StatusOr<PresentResponse> response = DecodeResponse(frame.payload);
   if (!response.ok()) {
-    Disconnect();  // CRC passed but the message is malformed: version skew
+    Disconnect();  // CRC passed but the message is malformed
   }
   return response;
 }
 
 StatusOr<std::vector<PresentResponse>> NetClient::PresentBatch(
     const std::vector<PresentRequest>& requests) {
-  if (options_.wire_version < 3) {
-    return InvalidArgumentError("batch requests need wire v3 (client configured for v2)");
-  }
   if (requests.size() > kMaxBatchMessages) {
     return InvalidArgumentError(
         StrFormat("batch of %zu exceeds kMaxBatchMessages", requests.size()));
   }
   obs::ScopedLatency latency("net.client.batch_ms");
-  CMIF_ASSIGN_OR_RETURN(
-      Frame frame, RoundTrip(FrameType::kBatchRequest,
-                             EncodeBatchRequest(requests, options_.wire_version)));
+  CMIF_ASSIGN_OR_RETURN(Frame frame,
+                        RoundTrip(FrameType::kBatchRequest, EncodeBatchRequest(requests)));
   if (frame.type != FrameType::kBatchResponse) {
     Disconnect();
     return InternalError(StrFormat("expected a batch-response frame, got %s",
                                    std::string(FrameTypeName(frame.type)).c_str()));
   }
-  StatusOr<std::vector<PresentResponse>> responses =
-      DecodeBatchResponse(frame.payload, frame.version);
+  StatusOr<std::vector<PresentResponse>> responses = DecodeBatchResponse(frame.payload);
   if (!responses.ok()) {
     Disconnect();
     return responses.status();
@@ -160,9 +146,7 @@ StatusOr<StatsSnapshot> NetClient::FetchStats() {
     return InternalError(StrFormat("expected a stats-response frame, got %s",
                                    std::string(FrameTypeName(frame.type)).c_str()));
   }
-  // Decode by the answer frame's version (the server mirrors the request's,
-  // so this is the version we spoke — but trust the frame, like Present).
-  StatusOr<StatsSnapshot> snapshot = DecodeStatsSnapshot(frame.payload, frame.version);
+  StatusOr<StatsSnapshot> snapshot = DecodeStatsSnapshot(frame.payload);
   if (!snapshot.ok()) {
     Disconnect();
   }
@@ -171,14 +155,6 @@ StatusOr<StatsSnapshot> NetClient::FetchStats() {
 
 StatusOr<StreamResult> NetClient::PresentStream(const PresentRequest& request,
                                                 std::uint64_t chunk_bytes) {
-  if (options_.wire_version < 4) {
-    // A legacy client never opens streams: the plain request path is the
-    // whole delivery (no wire blocks existed before v4).
-    CMIF_ASSIGN_OR_RETURN(PresentResponse response, Present(request));
-    StreamResult result;
-    result.response = std::move(response);
-    return result;
-  }
   obs::ScopedLatency latency("net.client.stream_ms");
   StreamResult result;
   // Resume state carried across reconnects: the stream id, the contiguous
@@ -200,9 +176,7 @@ StatusOr<StreamResult> NetClient::PresentStream(const PresentRequest& request,
     open.chunk_bytes = chunk_bytes;
     open.resume_stream_id = resume_stream_id;
     open.resume_chunks = resume_chunks;
-    Status written =
-        WriteFrame(socket_, FrameType::kStreamRequest,
-                   EncodeStreamRequest(open, options_.wire_version), options_.wire_version);
+    Status written = WriteFrame(socket_, FrameType::kStreamRequest, EncodeStreamRequest(open));
     if (!written.ok()) {
       Disconnect();
       last = written;
@@ -217,26 +191,19 @@ StatusOr<StreamResult> NetClient::PresentStream(const PresentRequest& request,
     }
     Frame frame = *std::move(*first);
     if (frame.type == FrameType::kError) {
-      // The server refused (or could not parse) the stream frame — an older
-      // peer rejects wire v4 at the header. Requests are idempotent: fall
-      // back to the plain request path, silently, *at wire v3*: the last
-      // pre-stream version is valid on every peer that can answer at all,
-      // while a v4 retry against a v3 peer would bounce off the same header
-      // check. On a current server the downgrade only costs the (unused)
-      // want_blocks tail — fallbacks never carry blocks anyway.
-      Disconnect();
-      const std::uint8_t speaking = options_.wire_version;
-      options_.wire_version = 3;
-      StatusOr<PresentResponse> fallback = Present(request);
-      options_.wire_version = speaking;
-      CMIF_ASSIGN_OR_RETURN(result.response, std::move(fallback));
-      result.streamed = false;
-      return result;
+      // Requests are idempotent, so a stream request corrupted in transit
+      // is simply asked again; the resume state still names good bytes.
+      Status refused = ErrorFrameStatus(frame);
+      if (!fault::IsRetryable(refused)) {
+        return refused;
+      }
+      last = refused;
+      continue;
     }
     if (frame.type == FrameType::kResponse) {
       // The server's own fallback: nothing streamable behind this request
       // (failed/shed outcomes travel as a plain response).
-      StatusOr<PresentResponse> response = DecodeResponse(frame.payload, frame.version);
+      StatusOr<PresentResponse> response = DecodeResponse(frame.payload);
       if (!response.ok()) {
         Disconnect();
         last = UnavailableError("malformed fallback response: " +
@@ -253,7 +220,7 @@ StatusOr<StreamResult> NetClient::PresentStream(const PresentRequest& request,
                                         std::string(FrameTypeName(frame.type)).c_str()));
       continue;
     }
-    StatusOr<StreamBegin> begin = DecodeStreamBegin(frame.payload, frame.version);
+    StatusOr<StreamBegin> begin = DecodeStreamBegin(frame.payload);
     if (!begin.ok()) {
       Disconnect();
       resume_stream_id = 0;
@@ -291,7 +258,7 @@ StatusOr<StreamResult> NetClient::PresentStream(const PresentRequest& request,
       }
       Frame data = *std::move(*next);
       if (data.type == FrameType::kStreamChunk) {
-        StatusOr<StreamChunk> chunk = DecodeStreamChunk(data.payload, data.version);
+        StatusOr<StreamChunk> chunk = DecodeStreamChunk(data.payload);
         if (!chunk.ok()) {
           stream_error = UnavailableError("malformed chunk: " + chunk.status().ToString());
           break;
@@ -305,7 +272,7 @@ StatusOr<StreamResult> NetClient::PresentStream(const PresentRequest& request,
         continue;
       }
       if (data.type == FrameType::kStreamEnd) {
-        StatusOr<StreamEnd> end = DecodeStreamEnd(data.payload, data.version);
+        StatusOr<StreamEnd> end = DecodeStreamEnd(data.payload);
         if (!end.ok()) {
           stream_error = UnavailableError("malformed trailer: " + end.status().ToString());
           break;
@@ -330,8 +297,7 @@ StatusOr<StreamResult> NetClient::PresentStream(const PresentRequest& request,
         StreamAck ack;
         ack.stream_id = begin->stream_id;
         ack.chunks_received = reassembler.chunks_received();
-        (void)WriteFrame(socket_, FrameType::kStreamAck,
-                         EncodeStreamAck(ack, options_.wire_version), options_.wire_version);
+        (void)WriteFrame(socket_, FrameType::kStreamAck, EncodeStreamAck(ack));
         return result;
       }
       stream_error = UnavailableError(StrFormat("unexpected %s frame mid-stream",
@@ -355,9 +321,6 @@ StatusOr<StreamResult> NetClient::PresentStream(const PresentRequest& request,
 }
 
 Status NetClient::ReportStreamStalls(std::uint64_t stream_id, std::uint64_t stalls) {
-  if (options_.wire_version < 4) {
-    return FailedPreconditionError("stream acks require wire v4");
-  }
   if (stream_id == 0) {
     return InvalidArgumentError("stall report without a stream id (blob fallback?)");
   }
@@ -365,9 +328,7 @@ Status NetClient::ReportStreamStalls(std::uint64_t stream_id, std::uint64_t stal
   StreamAck ack;
   ack.stream_id = stream_id;
   ack.stalls = stalls;
-  Status written =
-      WriteFrame(socket_, FrameType::kStreamAck, EncodeStreamAck(ack, options_.wire_version),
-                 options_.wire_version);
+  Status written = WriteFrame(socket_, FrameType::kStreamAck, EncodeStreamAck(ack));
   if (!written.ok()) {
     Disconnect();
   }

@@ -33,18 +33,13 @@ struct NetClientOptions {
   // retries entirely.
   fault::RetryPolicy retry;
   WireLimits limits;
-  // The frame version this client speaks (the server mirrors it per frame).
-  // Set to kMinWireVersion (2) to act as a legacy client: deadline_ms is
-  // then dropped from requests and batch calls are refused locally. Values
-  // outside [kMinWireVersion, kWireVersion] are clamped at construction.
-  std::uint8_t wire_version = kWireVersion;
 };
 
 // What PresentStream delivered. `streamed` distinguishes the chunked path
-// from the blob fallback (a v<4 peer, or a server that answered a plain
-// response); either way `response` carries the presentation and `blocks`
-// the delivered payloads in delivery order (empty on the v<4 fallback,
-// where blocks never travel).
+// from the blob fallback (the server answered a plain response because
+// there was nothing to stream); `response` carries the presentation and
+// `blocks` the delivered payloads in delivery order (empty on the
+// fallback).
 struct StreamResult {
   PresentResponse response;
   std::vector<WireBlock> blocks;
@@ -78,15 +73,16 @@ class NetClient {
   // that nest under the client's own timeline.
   StatusOr<PresentResponse> Present(const PresentRequest& request);
 
-  // Streamed delivery (wire v4+): a kStreamRequest answered by
-  // kStreamBegin + kStreamChunk* + kStreamEnd, reassembled and
-  // integrity-checked. Falls back to a plain Present() — silently — when
-  // this client speaks v<4, or when the server answers a kResponse or
-  // kError instead of a stream (an older server rejects the v4 frame at
-  // the header; requests are idempotent, so re-asking plainly is safe).
-  // Transport failures mid-stream reconnect and *resume* at the last
-  // contiguous chunk boundary; an end-to-end hash mismatch restarts from
-  // chunk 0. Both consume the retry budget (options.retry.max_attempts).
+  // Streamed delivery: a kStreamRequest answered by kStreamBegin +
+  // kStreamChunk* + kStreamEnd, reassembled and integrity-checked. A
+  // kResponse in place of kStreamBegin is the server's blob fallback
+  // (nothing streamable) and is returned with streamed == false. A kError
+  // is treated as in Present(): kDataLoss (the request was corrupted in
+  // transit) reconnects and retries the stream, any other status is
+  // returned. Transport failures mid-stream reconnect and *resume* at the
+  // last contiguous chunk boundary; an end-to-end hash mismatch restarts
+  // from chunk 0. Every retry consumes the budget
+  // (options.retry.max_attempts).
   StatusOr<StreamResult> PresentStream(const PresentRequest& request,
                                        std::uint64_t chunk_bytes = kDefaultChunkBytes);
 
@@ -98,10 +94,10 @@ class NetClient {
   // Best-effort telemetry: a failure harms nothing and is safe to ignore.
   Status ReportStreamStalls(std::uint64_t stream_id, std::uint64_t stalls);
 
-  // Many requests in one kBatchRequest frame (wire v3+; kInvalidArgument
-  // when this client is configured for v2 or the batch exceeds
-  // kMaxBatchMessages). Responses answer positionally; shed/degraded
-  // outcomes sit inside their PresentResponse like in Present().
+  // Many requests in one kBatchRequest frame (kInvalidArgument when the
+  // batch exceeds kMaxBatchMessages). Responses answer positionally;
+  // shed/degraded outcomes sit inside their PresentResponse like in
+  // Present().
   StatusOr<std::vector<PresentResponse>> PresentBatch(
       const std::vector<PresentRequest>& requests);
 
@@ -119,9 +115,6 @@ class NetClient {
   // count for tests and the chaos bench).
   std::uint64_t reconnects() const { return reconnects_; }
 
-  // The (clamped) wire version this client sends.
-  std::uint8_t wire_version() const { return options_.wire_version; }
-
  private:
   Status EnsureConnected();
   // Sends one frame and reads the answer on the current connection. Any
@@ -129,6 +122,11 @@ class NetClient {
   // kUnavailable so the retry wrapper re-runs it.
   StatusOr<Frame> RoundTripOnce(FrameType type, const std::string& payload);
   StatusOr<Frame> RoundTrip(FrameType type, const std::string& payload);
+  // The status a kError frame carries, mapped for the retry loops: a
+  // kDataLoss (the server saw our frame corrupted in transit) becomes a
+  // retryable kUnavailable, anything else is returned as is. Disconnects —
+  // the server drops the connection after every kError.
+  Status ErrorFrameStatus(const Frame& frame);
   // Expects kResponse and decodes its PresentResponse (disconnecting on a
   // malformed one).
   StatusOr<PresentResponse> DecodePresentFrame(Frame frame);

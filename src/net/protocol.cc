@@ -30,7 +30,7 @@ StatusOr<ServeOutcome> CheckOutcome(std::uint64_t raw) {
 
 }  // namespace
 
-std::string EncodeRequest(const PresentRequest& request, std::uint8_t version) {
+std::string EncodeRequest(const PresentRequest& request) {
   std::string out;
   PutString(out, request.document);
   PutString(out, request.profile);
@@ -43,16 +43,13 @@ std::string EncodeRequest(const PresentRequest& request, std::uint8_t version) {
   PutVarint64(out, request.trace.trace_id);
   PutVarint64(out, request.trace.parent_span_id);
   PutVarint64(out, request.trace.sampled ? 1 : 0);
-  if (version >= 3) {
-    PutVarint64(out, static_cast<std::uint64_t>(request.deadline_ms < 0 ? 0 : request.deadline_ms));
-  }
-  if (version >= 4) {
-    PutVarint64(out, request.want_blocks ? 1 : 0);
-  }
+  PutVarint64(out, static_cast<std::uint64_t>(request.deadline_ms < 0 ? 0 : request.deadline_ms));
+  PutVarint64(out, request.want_blocks ? 1 : 0);
   return out;
 }
 
 StatusOr<PresentRequest> DecodeRequest(std::string_view payload, std::uint8_t version) {
+  CMIF_RETURN_IF_ERROR(CheckWireVersion(version));
   PresentRequest request;
   std::size_t pos = 0;
   CMIF_ASSIGN_OR_RETURN(request.document, GetString(payload, &pos));
@@ -76,22 +73,18 @@ StatusOr<PresentRequest> DecodeRequest(std::string_view payload, std::uint8_t ve
       (request.trace.parent_span_id != 0 || request.trace.sampled)) {
     return DataLossError("trace fields set without a trace id");
   }
-  if (version >= 3) {
-    CMIF_ASSIGN_OR_RETURN(std::uint64_t deadline, GetVarint64(payload, &pos));
-    if (deadline > static_cast<std::uint64_t>(1) << 40) {  // > ~34 years is corruption
-      return DataLossError(StrFormat("implausible deadline %llu ms",
-                                     static_cast<unsigned long long>(deadline)));
-    }
-    request.deadline_ms = static_cast<std::int64_t>(deadline);
+  CMIF_ASSIGN_OR_RETURN(std::uint64_t deadline, GetVarint64(payload, &pos));
+  if (deadline > static_cast<std::uint64_t>(1) << 40) {  // > ~34 years is corruption
+    return DataLossError(StrFormat("implausible deadline %llu ms",
+                                   static_cast<unsigned long long>(deadline)));
   }
-  if (version >= 4) {
-    CMIF_ASSIGN_OR_RETURN(request.want_blocks, GetBool(payload, &pos));
-  }
+  request.deadline_ms = static_cast<std::int64_t>(deadline);
+  CMIF_ASSIGN_OR_RETURN(request.want_blocks, GetBool(payload, &pos));
   CMIF_RETURN_IF_ERROR(CheckFullyConsumed(payload, pos));
   return request;
 }
 
-std::string EncodeResponse(const PresentResponse& response, std::uint8_t version) {
+std::string EncodeResponse(const PresentResponse& response) {
   // Sized up front: a blob delivery makes this a multi-megabyte string, and
   // growing it by doubling would briefly hold twice that.
   std::size_t estimate = 64 + response.error.message().size() + response.presentation.size() +
@@ -118,21 +111,18 @@ std::string EncodeResponse(const PresentResponse& response, std::uint8_t version
     PutF64(out, span.duration_us);
     PutVarint64(out, static_cast<std::uint64_t>(span.tid < 0 ? 0 : span.tid));
   }
-  if (version >= 3) {
-    PutVarint64(out, response.shed ? 1 : 0);
-    PutF64(out, response.queue_ms < 0 ? 0 : response.queue_ms);
-  }
-  if (version >= 4) {
-    PutVarint64(out, response.blocks.size());
-    for (const WireBlock& block : response.blocks) {
-      PutString(out, block.descriptor_id);
-      PutString(out, block.payload);
-    }
+  PutVarint64(out, response.shed ? 1 : 0);
+  PutF64(out, response.queue_ms < 0 ? 0 : response.queue_ms);
+  PutVarint64(out, response.blocks.size());
+  for (const WireBlock& block : response.blocks) {
+    PutString(out, block.descriptor_id);
+    PutString(out, block.payload);
   }
   return out;
 }
 
 StatusOr<PresentResponse> DecodeResponse(std::string_view payload, std::uint8_t version) {
+  CMIF_RETURN_IF_ERROR(CheckWireVersion(version));
   PresentResponse response;
   std::size_t pos = 0;
   CMIF_ASSIGN_OR_RETURN(std::uint64_t outcome, GetVarint64(payload, &pos));
@@ -177,28 +167,24 @@ StatusOr<PresentResponse> DecodeResponse(std::string_view payload, std::uint8_t 
     span.tid = static_cast<std::int32_t>(tid);
     response.server_spans.push_back(std::move(span));
   }
-  if (version >= 3) {
-    CMIF_ASSIGN_OR_RETURN(response.shed, GetBool(payload, &pos));
-    CMIF_ASSIGN_OR_RETURN(response.queue_ms, GetF64(payload, &pos));
-    if (response.queue_ms < 0) {
-      return DataLossError(StrFormat("negative queue_ms at offset %zu", pos));
-    }
+  CMIF_ASSIGN_OR_RETURN(response.shed, GetBool(payload, &pos));
+  CMIF_ASSIGN_OR_RETURN(response.queue_ms, GetF64(payload, &pos));
+  if (response.queue_ms < 0) {
+    return DataLossError(StrFormat("negative queue_ms at offset %zu", pos));
   }
-  if (version >= 4) {
-    CMIF_ASSIGN_OR_RETURN(std::uint64_t block_count, GetVarint64(payload, &pos));
-    // Each block costs >= 2 bytes on the wire (two length prefixes), so a
-    // count beyond payload size (or the hard cap) is corruption.
-    if (block_count > kMaxWireBlocks || block_count > payload.size()) {
-      return DataLossError(StrFormat("block count %llu exceeds bounds",
-                                     static_cast<unsigned long long>(block_count)));
-    }
-    response.blocks.reserve(block_count);
-    for (std::uint64_t i = 0; i < block_count; ++i) {
-      WireBlock block;
-      CMIF_ASSIGN_OR_RETURN(block.descriptor_id, GetString(payload, &pos));
-      CMIF_ASSIGN_OR_RETURN(block.payload, GetString(payload, &pos));
-      response.blocks.push_back(std::move(block));
-    }
+  CMIF_ASSIGN_OR_RETURN(std::uint64_t block_count, GetVarint64(payload, &pos));
+  // Each block costs >= 2 bytes on the wire (two length prefixes), so a
+  // count beyond payload size (or the hard cap) is corruption.
+  if (block_count > kMaxWireBlocks || block_count > payload.size()) {
+    return DataLossError(StrFormat("block count %llu exceeds bounds",
+                                   static_cast<unsigned long long>(block_count)));
+  }
+  response.blocks.reserve(block_count);
+  for (std::uint64_t i = 0; i < block_count; ++i) {
+    WireBlock block;
+    CMIF_ASSIGN_OR_RETURN(block.descriptor_id, GetString(payload, &pos));
+    CMIF_ASSIGN_OR_RETURN(block.payload, GetString(payload, &pos));
+    response.blocks.push_back(std::move(block));
   }
   CMIF_RETURN_IF_ERROR(CheckFullyConsumed(payload, pos));
   return response;
@@ -208,12 +194,11 @@ namespace {
 
 // Shared batch plumbing: varint count, then each message length-prefixed.
 template <typename Message, typename Encode>
-std::string EncodeBatch(const std::vector<Message>& messages, std::uint8_t version,
-                        Encode&& encode) {
+std::string EncodeBatch(const std::vector<Message>& messages, Encode&& encode) {
   std::string out;
   PutVarint64(out, messages.size());
   for (const Message& message : messages) {
-    PutString(out, encode(message, version));
+    PutString(out, encode(message));
   }
   return out;
 }
@@ -221,6 +206,7 @@ std::string EncodeBatch(const std::vector<Message>& messages, std::uint8_t versi
 template <typename Message, typename Decode>
 StatusOr<std::vector<Message>> DecodeBatch(std::string_view payload, std::uint8_t version,
                                            std::string_view what, Decode&& decode) {
+  CMIF_RETURN_IF_ERROR(CheckWireVersion(version));
   std::size_t pos = 0;
   CMIF_ASSIGN_OR_RETURN(std::uint64_t count, GetVarint64(payload, &pos));
   // Each message costs >= 1 byte on the wire, so a count beyond payload size
@@ -234,7 +220,7 @@ StatusOr<std::vector<Message>> DecodeBatch(std::string_view payload, std::uint8_
   messages.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     CMIF_ASSIGN_OR_RETURN(std::string encoded, GetString(payload, &pos));
-    CMIF_ASSIGN_OR_RETURN(Message message, decode(encoded, version));
+    CMIF_ASSIGN_OR_RETURN(Message message, decode(encoded));
     messages.push_back(std::move(message));
   }
   CMIF_RETURN_IF_ERROR(CheckFullyConsumed(payload, pos));
@@ -243,30 +229,26 @@ StatusOr<std::vector<Message>> DecodeBatch(std::string_view payload, std::uint8_
 
 }  // namespace
 
-std::string EncodeBatchRequest(const std::vector<PresentRequest>& requests,
-                               std::uint8_t version) {
-  return EncodeBatch(requests, version,
-                     [](const PresentRequest& r, std::uint8_t v) { return EncodeRequest(r, v); });
+std::string EncodeBatchRequest(const std::vector<PresentRequest>& requests) {
+  return EncodeBatch(requests, EncodeRequest);
 }
 
 StatusOr<std::vector<PresentRequest>> DecodeBatchRequest(std::string_view payload,
                                                          std::uint8_t version) {
-  return DecodeBatch<PresentRequest>(
-      payload, version, "request",
-      [](std::string_view bytes, std::uint8_t v) { return DecodeRequest(bytes, v); });
+  return DecodeBatch<PresentRequest>(payload, version, "request", [](std::string_view bytes) {
+    return DecodeRequest(bytes);
+  });
 }
 
-std::string EncodeBatchResponse(const std::vector<PresentResponse>& responses,
-                                std::uint8_t version) {
-  return EncodeBatch(responses, version,
-                     [](const PresentResponse& r, std::uint8_t v) { return EncodeResponse(r, v); });
+std::string EncodeBatchResponse(const std::vector<PresentResponse>& responses) {
+  return EncodeBatch(responses, EncodeResponse);
 }
 
 StatusOr<std::vector<PresentResponse>> DecodeBatchResponse(std::string_view payload,
                                                            std::uint8_t version) {
-  return DecodeBatch<PresentResponse>(
-      payload, version, "response",
-      [](std::string_view bytes, std::uint8_t v) { return DecodeResponse(bytes, v); });
+  return DecodeBatch<PresentResponse>(payload, version, "response", [](std::string_view bytes) {
+    return DecodeResponse(bytes);
+  });
 }
 
 std::string EncodeWireStatus(const Status& status) {

@@ -7,11 +7,11 @@
 //
 // Encoding: varint-prefixed fields in fixed order (the same LEB128 as the
 // frame length). Every decoder returns kDataLoss on truncated or malformed
-// payloads; unknown trailing bytes are also kDataLoss — the version byte in
-// the frame header is the compatibility mechanism, not silent field skipping.
-// Encoders and decoders therefore take the wire version the frame declares:
-// v2 payloads stop before the v3 deadline/shed/queue fields, and decoding a
-// payload under the wrong version fails structurally rather than silently.
+// payloads; unknown trailing bytes are also kDataLoss — fields are never
+// silently skipped. Each message has exactly one layout, kWireVersion's.
+// Decoders take the version the carrying frame declared (defaulting to
+// kWireVersion) and reject any other as kDataLoss, so a payload can never be
+// parsed under a layout it was not written in.
 #ifndef SRC_NET_PROTOCOL_H_
 #define SRC_NET_PROTOCOL_H_
 
@@ -48,15 +48,14 @@ struct PresentRequest {
   // When sampled, the server records spans under this id and returns them in
   // PresentResponse::server_spans so the client can merge one timeline.
   obs::TraceContext trace;
-  // v3: relative service deadline in milliseconds, 0 = none. The server's
+  // Relative service deadline in milliseconds, 0 = none. The server's
   // EDF scheduler turns it into an absolute deadline at admission; work
   // whose deadline is already blown is shed (kResourceExhausted) or, when
-  // allow_degraded holds, answered from stale cache — never queued. v2
-  // frames have no such field and are treated as deadline-free.
+  // allow_degraded holds, answered from stale cache — never queued.
   std::int64_t deadline_ms = 0;
-  // v4: when true the response also carries every resolved data block the
+  // When true the response also carries every resolved data block the
   // schedule references, inline (blob block delivery — the baseline the
-  // streamed path is checked against). v2/v3 frames never carry blocks.
+  // streamed path is checked against).
   bool want_blocks = false;
 };
 
@@ -99,15 +98,15 @@ struct PresentResponse {
   // Spans the server harvested for the request's (sampled) trace id; empty
   // for unsampled or untraced requests.
   std::vector<WireSpan> server_spans;
-  // v3: true when the scheduler refused the request outright (queue full or
+  // True when the scheduler refused the request outright (queue full or
   // deadline blown with degraded fallback unavailable). A shed response has
   // outcome kFailed and error kResourceExhausted; the bit lets clients and
   // benches separate overload sheds from genuine compile failures.
   bool shed = false;
-  // v3: milliseconds the request spent in the scheduler queue before a
+  // Milliseconds the request spent in the scheduler queue before a
   // worker picked it up (0 for shed-at-admission responses).
   double queue_ms = 0;
-  // v4: resolved data blocks, in schedule first-need order, present only
+  // Resolved data blocks, in schedule first-need order, present only
   // when the request set want_blocks (empty otherwise). Capped at
   // kMaxWireBlocks entries; a corrupted count fails as kDataLoss.
   std::vector<WireBlock> blocks;
@@ -117,29 +116,25 @@ struct PresentResponse {
 // decoder allocate unboundedly.
 inline constexpr std::uint64_t kMaxWireBlocks = 4096;
 
-std::string EncodeRequest(const PresentRequest& request,
-                          std::uint8_t version = kWireVersion);
+std::string EncodeRequest(const PresentRequest& request);
 StatusOr<PresentRequest> DecodeRequest(std::string_view payload,
                                        std::uint8_t version = kWireVersion);
 
-std::string EncodeResponse(const PresentResponse& response,
-                           std::uint8_t version = kWireVersion);
+std::string EncodeResponse(const PresentResponse& response);
 StatusOr<PresentResponse> DecodeResponse(std::string_view payload,
                                          std::uint8_t version = kWireVersion);
 
-// Batched messages (v3+; carried in kBatchRequest/kBatchResponse frames).
+// Batched messages (carried in kBatchRequest/kBatchResponse frames).
 // Layout: varint count, then each message length-prefixed. Responses answer
 // requests positionally. A batch is capped at kMaxBatchMessages entries so a
 // corrupted count cannot amplify into unbounded work.
 inline constexpr std::uint64_t kMaxBatchMessages = 1024;
 
-std::string EncodeBatchRequest(const std::vector<PresentRequest>& requests,
-                               std::uint8_t version = kWireVersion);
+std::string EncodeBatchRequest(const std::vector<PresentRequest>& requests);
 StatusOr<std::vector<PresentRequest>> DecodeBatchRequest(std::string_view payload,
                                                          std::uint8_t version = kWireVersion);
 
-std::string EncodeBatchResponse(const std::vector<PresentResponse>& responses,
-                                std::uint8_t version = kWireVersion);
+std::string EncodeBatchResponse(const std::vector<PresentResponse>& responses);
 StatusOr<std::vector<PresentResponse>> DecodeBatchResponse(std::string_view payload,
                                                            std::uint8_t version = kWireVersion);
 

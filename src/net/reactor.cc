@@ -123,8 +123,8 @@ void Reactor::Stop(std::int64_t drain_timeout_ms) {
 }
 
 Status Reactor::SendFrame(std::uint64_t conn_id, FrameType type, std::string_view payload,
-                          std::uint8_t version, bool close_after) {
-  std::string encoded = EncodeFrame(type, payload, version);
+                          bool close_after) {
+  std::string encoded = EncodeFrame(type, payload);
   if (Status status = ApplySendFaults(encoded); !status.ok()) {
     CloseConnection(conn_id);
     return status;

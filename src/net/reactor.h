@@ -95,7 +95,7 @@ class Reactor {
   // ApplySendFaults (a failed write closes the connection instead), then
   // SendEncoded.
   Status SendFrame(std::uint64_t conn_id, FrameType type, std::string_view payload,
-                   std::uint8_t version = kWireVersion, bool close_after = false);
+                   bool close_after = false);
 
   // Queues one already-encoded frame on a connection (any thread), taking
   // its bytes by move. close_after closes the connection once the frame

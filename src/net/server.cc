@@ -152,9 +152,9 @@ NetServer::OutFrame NetServer::Outgoing(std::string encoded) {
 }
 
 void NetServer::CompleteSlot(std::uint64_t conn_id, std::uint64_t slot, FrameType type,
-                             std::string_view payload, std::uint8_t version, bool close_after) {
+                             std::string_view payload, bool close_after) {
   std::vector<OutFrame> frames;
-  frames.push_back(Outgoing(EncodeFrame(type, payload, version)));
+  frames.push_back(Outgoing(EncodeFrame(type, payload)));
   CompleteSlotFrames(conn_id, slot, std::move(frames), close_after);
 }
 
@@ -230,59 +230,55 @@ void NetServer::OnFrame(std::uint64_t conn_id, Frame frame) {
   switch (frame.type) {
     case FrameType::kPing: {
       const std::uint64_t slot = AssignSlot(conn_id);
-      CompleteSlot(conn_id, slot, FrameType::kPong, frame.payload, frame.version);
+      CompleteSlot(conn_id, slot, FrameType::kPong, frame.payload);
       return;
     }
     case FrameType::kStatsRequest: {
       // A telemetry probe, not a compile: answered inline with a snapshot of
       // the live counters so monitoring never queues behind a slow request.
       const std::uint64_t slot = AssignSlot(conn_id);
-      CompleteSlot(conn_id, slot, FrameType::kStatsResponse,
-                   EncodeStatsSnapshot(Snapshot(), frame.version), frame.version);
+      CompleteSlot(conn_id, slot, FrameType::kStatsResponse, EncodeStatsSnapshot(Snapshot()));
       return;
     }
     case FrameType::kRequest: {
-      StatusOr<PresentRequest> request = DecodeRequest(frame.payload, frame.version);
+      StatusOr<PresentRequest> request = DecodeRequest(frame.payload);
       if (!request.ok()) {
         BumpProtocolErrors();
         const std::uint64_t slot = AssignSlot(conn_id);
         CompleteSlot(conn_id, slot, FrameType::kError, EncodeWireStatus(request.status()),
-                     frame.version, /*close_after=*/true);
+                     /*close_after=*/true);
         return;
       }
       const std::uint64_t slot = AssignSlot(conn_id);
-      const std::uint8_t version = frame.version;
       Admit(std::move(*request),
-            [this, conn_id, slot, version](PresentResponse response,
-                                           std::shared_ptr<const CompiledPresentation>) {
-              const std::string payload = EncodeResponse(response, version);
+            [this, conn_id, slot](PresentResponse response,
+                                  std::shared_ptr<const CompiledPresentation>) {
+              const std::string payload = EncodeResponse(response);
               response = PresentResponse();  // a blob's blocks are in `payload` now
-              CompleteSlot(conn_id, slot, FrameType::kResponse, payload, version);
+              CompleteSlot(conn_id, slot, FrameType::kResponse, payload);
             });
       return;
     }
     case FrameType::kStreamRequest: {
-      StatusOr<StreamRequest> request = DecodeStreamRequest(frame.payload, frame.version);
+      StatusOr<StreamRequest> request = DecodeStreamRequest(frame.payload);
       if (!request.ok()) {
         BumpProtocolErrors();
         const std::uint64_t slot = AssignSlot(conn_id);
         CompleteSlot(conn_id, slot, FrameType::kError, EncodeWireStatus(request.status()),
-                     frame.version, /*close_after=*/true);
+                     /*close_after=*/true);
         return;
       }
       const std::uint64_t slot = AssignSlot(conn_id);
-      const std::uint8_t version = frame.version;
       auto stream = std::make_shared<StreamRequest>(std::move(*request));
       // The stream prefix must never carry inline blocks (chunks are the
       // delivery path); a client asking for both gets the stream.
       stream->request.want_blocks = false;
       PresentRequest inner = stream->request;
       Admit(std::move(inner),
-            [this, conn_id, slot, version, stream](
+            [this, conn_id, slot, stream](
                 PresentResponse response,
                 std::shared_ptr<const CompiledPresentation> presentation) {
-              CompleteStream(conn_id, slot, *stream, std::move(response),
-                             std::move(presentation), version);
+              CompleteStream(conn_id, slot, *stream, std::move(response), std::move(presentation));
             });
       return;
     }
@@ -290,32 +286,29 @@ void NetServer::OnFrame(std::uint64_t conn_id, Frame frame) {
       // One-way delivery telemetry: no response slot. A malformed ack still
       // desynchronizes the stream's framing contract, so it errors + closes
       // like any other bad payload.
-      StatusOr<StreamAck> ack = DecodeStreamAck(frame.payload, frame.version);
+      StatusOr<StreamAck> ack = DecodeStreamAck(frame.payload);
       if (!ack.ok()) {
         BumpProtocolErrors();
         const std::uint64_t slot = AssignSlot(conn_id);
         CompleteSlot(conn_id, slot, FrameType::kError, EncodeWireStatus(ack.status()),
-                     frame.version, /*close_after=*/true);
+                     /*close_after=*/true);
         return;
       }
       stream_stalls_.fetch_add(ack->stalls, std::memory_order_relaxed);
       return;
     }
     case FrameType::kBatchRequest: {
-      StatusOr<std::vector<PresentRequest>> requests =
-          DecodeBatchRequest(frame.payload, frame.version);
+      StatusOr<std::vector<PresentRequest>> requests = DecodeBatchRequest(frame.payload);
       if (!requests.ok()) {
         BumpProtocolErrors();
         const std::uint64_t slot = AssignSlot(conn_id);
         CompleteSlot(conn_id, slot, FrameType::kError, EncodeWireStatus(requests.status()),
-                     frame.version, /*close_after=*/true);
+                     /*close_after=*/true);
         return;
       }
       const std::uint64_t slot = AssignSlot(conn_id);
-      const std::uint8_t version = frame.version;
       if (requests->empty()) {
-        CompleteSlot(conn_id, slot, FrameType::kBatchResponse, EncodeBatchResponse({}, version),
-                     version);
+        CompleteSlot(conn_id, slot, FrameType::kBatchResponse, EncodeBatchResponse({}));
         return;
       }
       // Each batch element is scheduled independently (EDF interleaves them
@@ -326,12 +319,12 @@ void NetServer::OnFrame(std::uint64_t conn_id, Frame frame) {
       batch->remaining.store(requests->size(), std::memory_order_relaxed);
       for (std::size_t i = 0; i < requests->size(); ++i) {
         Admit(std::move((*requests)[i]),
-              [this, conn_id, slot, version, batch, i](
-                  PresentResponse response, std::shared_ptr<const CompiledPresentation>) {
+              [this, conn_id, slot, batch, i](PresentResponse response,
+                                              std::shared_ptr<const CompiledPresentation>) {
                 batch->responses[i] = std::move(response);
                 if (batch->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
                   CompleteSlot(conn_id, slot, FrameType::kBatchResponse,
-                               EncodeBatchResponse(batch->responses, version), version);
+                               EncodeBatchResponse(batch->responses));
                 }
               });
       }
@@ -344,7 +337,7 @@ void NetServer::OnFrame(std::uint64_t conn_id, Frame frame) {
                    EncodeWireStatus(InvalidArgumentError(StrFormat(
                        "unexpected %s frame",
                        std::string(FrameTypeName(frame.type)).c_str()))),
-                   frame.version, /*close_after=*/true);
+                   /*close_after=*/true);
       return;
     }
   }
@@ -367,11 +360,8 @@ void NetServer::OnDesync(std::uint64_t conn_id, const Status& error) {
   BumpProtocolErrors();
   // The error frame takes a slot like any response, so pipelined requests
   // already in flight still answer (in order) before the connection drops.
-  // Encoded at the minimum supported version: after a desync we no longer
-  // know what the peer speaks, and v2 is readable by everyone.
   const std::uint64_t slot = AssignSlot(conn_id);
-  CompleteSlot(conn_id, slot, FrameType::kError, EncodeWireStatus(error), kMinWireVersion,
-               /*close_after=*/true);
+  CompleteSlot(conn_id, slot, FrameType::kError, EncodeWireStatus(error), /*close_after=*/true);
 }
 
 void NetServer::OnClosed(std::uint64_t conn_id) {
@@ -700,21 +690,18 @@ PresentResponse NetServer::HandleRequest(const PresentRequest& request,
 
 void NetServer::CompleteStream(std::uint64_t conn_id, std::uint64_t slot,
                                const StreamRequest& stream, PresentResponse response,
-                               std::shared_ptr<const CompiledPresentation> presentation,
-                               std::uint8_t version) {
-  // Nothing to stream (failed/shed serve, or a v<4 frame that should not
-  // have carried a stream request): answer the plain response — the client
-  // treats a kResponse where it expected kStreamBegin as its blob fallback.
+                               std::shared_ptr<const CompiledPresentation> presentation) {
+  // Nothing to stream (failed/shed serve): answer the plain response — the
+  // client treats a kResponse where it expected kStreamBegin as its blob
+  // fallback.
   StatusOr<std::shared_ptr<const StreamPlan>> planned = InternalError("no presentation");
-  if (version >= 4 && presentation != nullptr && !response.shed &&
-      response.outcome != ServeOutcome::kFailed) {
+  if (presentation != nullptr && !response.shed && response.outcome != ServeOutcome::kFailed) {
     if (StatusOr<ServeRequest> serve_request = Resolve(stream.request); serve_request.ok()) {
       planned = loop_.StreamPlanFor(*serve_request, *presentation, stream.request.channels);
     }
   }
   if (!planned.ok()) {
-    CompleteSlot(conn_id, slot, FrameType::kResponse, EncodeResponse(response, version),
-                 version);
+    CompleteSlot(conn_id, slot, FrameType::kResponse, EncodeResponse(response));
     return;
   }
   // Shared and immutable (possibly the memoized plan other streams are
@@ -754,8 +741,7 @@ void NetServer::CompleteStream(std::uint64_t conn_id, std::uint64_t slot,
   // Every frame is encoded here, on the worker, before the sequencer lock.
   std::vector<OutFrame> frames;
   frames.reserve(static_cast<std::size_t>(total_chunks - resumed_from) + 2);
-  frames.push_back(
-      Outgoing(EncodeFrame(FrameType::kStreamBegin, EncodeStreamBegin(begin, version), version)));
+  frames.push_back(Outgoing(EncodeFrame(FrameType::kStreamBegin, EncodeStreamBegin(begin))));
   std::uint64_t chunks_sent = 0;
   std::uint64_t bytes_sent = 0;
   bool cut = false;
@@ -780,15 +766,14 @@ void NetServer::CompleteStream(std::uint64_t conn_id, std::uint64_t slot,
     }
     ++chunks_sent;
     bytes_sent += payload.size();
-    frames.push_back(Outgoing(EncodeStreamChunkFrame(stream_id, index, payload, version)));
+    frames.push_back(Outgoing(EncodeStreamChunkFrame(stream_id, index, payload)));
   }
   if (!cut) {
     StreamEnd end;
     end.stream_id = stream_id;
     end.total_chunks = total_chunks;
     end.payload_hash = plan.payload_hash;
-    frames.push_back(
-        Outgoing(EncodeFrame(FrameType::kStreamEnd, EncodeStreamEnd(end, version), version)));
+    frames.push_back(Outgoing(EncodeFrame(FrameType::kStreamEnd, EncodeStreamEnd(end))));
   }
 
   streams_.fetch_add(1, std::memory_order_relaxed);

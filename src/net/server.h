@@ -19,13 +19,12 @@
 // A request frame carries a PresentRequest; the answer is a kResponse frame
 // with the compiled presentation (or a degraded/shed/failed PresentResponse),
 // or a kError frame for protocol-level failures (malformed payload, unknown
-// frame type). kBatchRequest (wire v3) carries many requests; each is
-// scheduled independently and the batch answers as one kBatchResponse once
-// the last completes. Responses mirror the version of the frame that carried
-// the request, so v2 clients interoperate frame-by-frame with a v3 server.
-// After any kDataLoss on the wire the stream is desynchronized: the server
-// flushes pending responses, answers a kError frame, and drops the
-// connection.
+// frame type). kBatchRequest carries many requests; each is scheduled
+// independently and the batch answers as one kBatchResponse once the last
+// completes. After any kDataLoss on the wire — a corrupt frame, or a frame
+// declaring a version other than kWireVersion — the stream is
+// desynchronized: the server flushes pending responses, answers a kError
+// frame, and drops the connection.
 #ifndef SRC_NET_SERVER_H_
 #define SRC_NET_SERVER_H_
 
@@ -173,7 +172,7 @@ class NetServer {
   // Encodes one frame, fills a slot with it and flushes the connection's
   // contiguous ready prefix through the reactor (any thread).
   void CompleteSlot(std::uint64_t conn_id, std::uint64_t slot, FrameType type,
-                    std::string_view payload, std::uint8_t version, bool close_after = false)
+                    std::string_view payload, bool close_after = false)
       CMIF_EXCLUDES(mu_);
   // Multi-frame variant: the whole (already encoded) frame sequence
   // occupies one slot.
@@ -212,8 +211,7 @@ class NetServer {
   // nothing to stream (the client's blob fallback).
   void CompleteStream(std::uint64_t conn_id, std::uint64_t slot, const StreamRequest& stream,
                       PresentResponse response,
-                      std::shared_ptr<const CompiledPresentation> presentation,
-                      std::uint8_t version);
+                      std::shared_ptr<const CompiledPresentation> presentation);
 
   void BumpProtocolErrors() CMIF_EXCLUDES(mu_);
 

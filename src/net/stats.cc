@@ -15,7 +15,7 @@ constexpr std::uint64_t kMaxBreakers = 1024;
 
 }  // namespace
 
-std::string EncodeStatsSnapshot(const StatsSnapshot& snapshot, std::uint8_t version) {
+std::string EncodeStatsSnapshot(const StatsSnapshot& snapshot) {
   std::string out;
   PutVarint64(out, snapshot.uptime_us);
   PutVarint64(out, snapshot.connections);
@@ -57,18 +57,17 @@ std::string EncodeStatsSnapshot(const StatsSnapshot& snapshot, std::uint8_t vers
   PutVarint64(out, snapshot.anomalies);
   PutVarint64(out, snapshot.traces_sampled);
   PutF64(out, snapshot.sample_rate);
-  if (version >= 4) {
-    PutVarint64(out, snapshot.streams);
-    PutVarint64(out, snapshot.stream_chunks);
-    PutVarint64(out, snapshot.stream_bytes);
-    PutVarint64(out, snapshot.stream_full_bytes);
-    PutVarint64(out, snapshot.stream_resumes);
-    PutVarint64(out, snapshot.stream_stalls);
-  }
+  PutVarint64(out, snapshot.streams);
+  PutVarint64(out, snapshot.stream_chunks);
+  PutVarint64(out, snapshot.stream_bytes);
+  PutVarint64(out, snapshot.stream_full_bytes);
+  PutVarint64(out, snapshot.stream_resumes);
+  PutVarint64(out, snapshot.stream_stalls);
   return out;
 }
 
 StatusOr<StatsSnapshot> DecodeStatsSnapshot(std::string_view payload, std::uint8_t version) {
+  CMIF_RETURN_IF_ERROR(CheckWireVersion(version));
   StatsSnapshot s;
   std::size_t pos = 0;
   CMIF_ASSIGN_OR_RETURN(s.uptime_us, GetVarint64(payload, &pos));
@@ -138,14 +137,12 @@ StatusOr<StatsSnapshot> DecodeStatsSnapshot(std::string_view payload, std::uint8
   if (s.sample_rate < 0 || s.sample_rate > 1) {
     return DataLossError(StrFormat("sample rate %g outside [0, 1]", s.sample_rate));
   }
-  if (version >= 4) {
-    CMIF_ASSIGN_OR_RETURN(s.streams, GetVarint64(payload, &pos));
-    CMIF_ASSIGN_OR_RETURN(s.stream_chunks, GetVarint64(payload, &pos));
-    CMIF_ASSIGN_OR_RETURN(s.stream_bytes, GetVarint64(payload, &pos));
-    CMIF_ASSIGN_OR_RETURN(s.stream_full_bytes, GetVarint64(payload, &pos));
-    CMIF_ASSIGN_OR_RETURN(s.stream_resumes, GetVarint64(payload, &pos));
-    CMIF_ASSIGN_OR_RETURN(s.stream_stalls, GetVarint64(payload, &pos));
-  }
+  CMIF_ASSIGN_OR_RETURN(s.streams, GetVarint64(payload, &pos));
+  CMIF_ASSIGN_OR_RETURN(s.stream_chunks, GetVarint64(payload, &pos));
+  CMIF_ASSIGN_OR_RETURN(s.stream_bytes, GetVarint64(payload, &pos));
+  CMIF_ASSIGN_OR_RETURN(s.stream_full_bytes, GetVarint64(payload, &pos));
+  CMIF_ASSIGN_OR_RETURN(s.stream_resumes, GetVarint64(payload, &pos));
+  CMIF_ASSIGN_OR_RETURN(s.stream_stalls, GetVarint64(payload, &pos));
   if (pos != payload.size()) {
     return DataLossError(StrFormat("%zu trailing bytes after stats snapshot at offset %zu",
                                    payload.size() - pos, pos));

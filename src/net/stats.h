@@ -85,8 +85,7 @@ struct StatsSnapshot {
   std::uint64_t traces_sampled = 0;
   double sample_rate = 0;
 
-  // Streamed delivery (wire v4; all zero when decoded from a v<4 frame).
-  // stream_bytes counts chunk payload bytes actually sent;
+  // Streamed delivery. stream_bytes counts chunk payload bytes actually sent;
   // stream_full_bytes is what full (blob) delivery of the same streams
   // would have sent — the difference is what resume-at-chunk-boundary saved.
   std::uint64_t streams = 0;
@@ -97,11 +96,9 @@ struct StatsSnapshot {
   std::uint64_t stream_stalls = 0;
 };
 
-// The stats codec is versioned like every other wire message: the streaming
-// section is a v4 tail, so a v3 `cmif_tool stats` still parses a v4
-// server's answer to its v3 request (the server mirrors frame versions).
-std::string EncodeStatsSnapshot(const StatsSnapshot& snapshot,
-                                std::uint8_t version = kWireVersion);
+// Like every payload decoder, DecodeStatsSnapshot rejects any version but
+// kWireVersion as kDataLoss.
+std::string EncodeStatsSnapshot(const StatsSnapshot& snapshot);
 StatusOr<StatsSnapshot> DecodeStatsSnapshot(std::string_view payload,
                                             std::uint8_t version = kWireVersion);
 

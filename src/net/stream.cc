@@ -17,9 +17,9 @@ constexpr std::uint64_t kMaxPlausibleBlockBytes = 1ull << 40;
 
 }  // namespace
 
-std::string EncodeStreamRequest(const StreamRequest& request, std::uint8_t version) {
+std::string EncodeStreamRequest(const StreamRequest& request) {
   std::string out;
-  PutString(out, EncodeRequest(request.request, version));
+  PutString(out, EncodeRequest(request.request));
   PutVarint64(out, request.chunk_bytes);
   PutVarint64(out, request.resume_stream_id);
   PutVarint64(out, request.resume_chunks);
@@ -27,10 +27,11 @@ std::string EncodeStreamRequest(const StreamRequest& request, std::uint8_t versi
 }
 
 StatusOr<StreamRequest> DecodeStreamRequest(std::string_view payload, std::uint8_t version) {
+  CMIF_RETURN_IF_ERROR(CheckWireVersion(version));
   StreamRequest request;
   std::size_t pos = 0;
   CMIF_ASSIGN_OR_RETURN(std::string inner, GetString(payload, &pos));
-  CMIF_ASSIGN_OR_RETURN(request.request, DecodeRequest(inner, version));
+  CMIF_ASSIGN_OR_RETURN(request.request, DecodeRequest(inner));
   CMIF_ASSIGN_OR_RETURN(request.chunk_bytes, GetVarint64(payload, &pos));
   // The server clamps small requests up to kMinChunkBytes; zero or beyond
   // the hard ceiling is corruption, not a preference.
@@ -51,10 +52,10 @@ StatusOr<StreamRequest> DecodeStreamRequest(std::string_view payload, std::uint8
   return request;
 }
 
-std::string EncodeStreamBegin(const StreamBegin& begin, std::uint8_t version) {
+std::string EncodeStreamBegin(const StreamBegin& begin) {
   std::string out;
   PutVarint64(out, begin.stream_id);
-  PutString(out, EncodeResponse(begin.prefix, version));
+  PutString(out, EncodeResponse(begin.prefix));
   PutVarint64(out, begin.manifest.size());
   for (const StreamBlockInfo& info : begin.manifest) {
     PutString(out, info.descriptor_id);
@@ -69,11 +70,12 @@ std::string EncodeStreamBegin(const StreamBegin& begin, std::uint8_t version) {
 }
 
 StatusOr<StreamBegin> DecodeStreamBegin(std::string_view payload, std::uint8_t version) {
+  CMIF_RETURN_IF_ERROR(CheckWireVersion(version));
   StreamBegin begin;
   std::size_t pos = 0;
   CMIF_ASSIGN_OR_RETURN(begin.stream_id, GetVarint64(payload, &pos));
   CMIF_ASSIGN_OR_RETURN(std::string inner, GetString(payload, &pos));
-  CMIF_ASSIGN_OR_RETURN(begin.prefix, DecodeResponse(inner, version));
+  CMIF_ASSIGN_OR_RETURN(begin.prefix, DecodeResponse(inner));
   if (!begin.prefix.blocks.empty()) {
     return DataLossError("stream prefix carries inline blocks");
   }
@@ -125,8 +127,7 @@ StatusOr<StreamBegin> DecodeStreamBegin(std::string_view payload, std::uint8_t v
   return begin;
 }
 
-std::string EncodeStreamChunk(const StreamChunk& chunk, std::uint8_t version) {
-  (void)version;
+std::string EncodeStreamChunk(const StreamChunk& chunk) {
   std::string out;
   PutVarint64(out, chunk.stream_id);
   PutVarint64(out, chunk.chunk_index);
@@ -135,18 +136,18 @@ std::string EncodeStreamChunk(const StreamChunk& chunk, std::uint8_t version) {
 }
 
 std::string EncodeStreamChunkFrame(std::uint64_t stream_id, std::uint64_t chunk_index,
-                                   std::string_view payload, std::uint8_t version) {
+                                   std::string_view payload) {
   // The message fields ahead of the payload bytes, laid out as
   // EncodeStreamChunk lays them out (PutString = varint length + bytes).
   std::string header;
   PutVarint64(header, stream_id);
   PutVarint64(header, chunk_index);
   PutVarint64(header, payload.size());
-  return EncodeFrameParts(FrameType::kStreamChunk, {header, payload}, version);
+  return EncodeFrameParts(FrameType::kStreamChunk, {header, payload});
 }
 
 StatusOr<StreamChunk> DecodeStreamChunk(std::string_view payload, std::uint8_t version) {
-  (void)version;
+  CMIF_RETURN_IF_ERROR(CheckWireVersion(version));
   StreamChunk chunk;
   std::size_t pos = 0;
   CMIF_ASSIGN_OR_RETURN(chunk.stream_id, GetVarint64(payload, &pos));
@@ -165,8 +166,7 @@ StatusOr<StreamChunk> DecodeStreamChunk(std::string_view payload, std::uint8_t v
   return chunk;
 }
 
-std::string EncodeStreamAck(const StreamAck& ack, std::uint8_t version) {
-  (void)version;
+std::string EncodeStreamAck(const StreamAck& ack) {
   std::string out;
   PutVarint64(out, ack.stream_id);
   PutVarint64(out, ack.chunks_received);
@@ -175,7 +175,7 @@ std::string EncodeStreamAck(const StreamAck& ack, std::uint8_t version) {
 }
 
 StatusOr<StreamAck> DecodeStreamAck(std::string_view payload, std::uint8_t version) {
-  (void)version;
+  CMIF_RETURN_IF_ERROR(CheckWireVersion(version));
   StreamAck ack;
   std::size_t pos = 0;
   CMIF_ASSIGN_OR_RETURN(ack.stream_id, GetVarint64(payload, &pos));
@@ -188,8 +188,7 @@ StatusOr<StreamAck> DecodeStreamAck(std::string_view payload, std::uint8_t versi
   return ack;
 }
 
-std::string EncodeStreamEnd(const StreamEnd& end, std::uint8_t version) {
-  (void)version;
+std::string EncodeStreamEnd(const StreamEnd& end) {
   std::string out;
   PutVarint64(out, end.stream_id);
   PutVarint64(out, end.total_chunks);
@@ -198,7 +197,7 @@ std::string EncodeStreamEnd(const StreamEnd& end, std::uint8_t version) {
 }
 
 StatusOr<StreamEnd> DecodeStreamEnd(std::string_view payload, std::uint8_t version) {
-  (void)version;
+  CMIF_RETURN_IF_ERROR(CheckWireVersion(version));
   StreamEnd end;
   std::size_t pos = 0;
   CMIF_ASSIGN_OR_RETURN(end.stream_id, GetVarint64(payload, &pos));

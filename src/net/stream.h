@@ -1,4 +1,4 @@
-// Streamed block delivery (wire v4). A presentation today ships as one
+// Streamed block delivery. A presentation today ships as one
 // canonical blob with every block resolved up front; the paper's central
 // claim — a solved temporal structure makes documents *transportable* —
 // means the schedule itself tells the transport when each block is needed.
@@ -114,31 +114,29 @@ struct StreamEnd {
   std::uint64_t payload_hash = 0;
 };
 
-std::string EncodeStreamRequest(const StreamRequest& request,
-                                std::uint8_t version = kWireVersion);
+std::string EncodeStreamRequest(const StreamRequest& request);
 StatusOr<StreamRequest> DecodeStreamRequest(std::string_view payload,
                                             std::uint8_t version = kWireVersion);
 
-std::string EncodeStreamBegin(const StreamBegin& begin, std::uint8_t version = kWireVersion);
+std::string EncodeStreamBegin(const StreamBegin& begin);
 StatusOr<StreamBegin> DecodeStreamBegin(std::string_view payload,
                                         std::uint8_t version = kWireVersion);
 
-std::string EncodeStreamChunk(const StreamChunk& chunk, std::uint8_t version = kWireVersion);
+std::string EncodeStreamChunk(const StreamChunk& chunk);
 // The complete kStreamChunk frame for `payload` (a slice of the stream's
 // byte string), framed straight from the view: byte-identical to
 // EncodeFrame(kStreamChunk, EncodeStreamChunk({stream_id, chunk_index,
 // payload})) with one copy of the payload instead of three.
 std::string EncodeStreamChunkFrame(std::uint64_t stream_id, std::uint64_t chunk_index,
-                                   std::string_view payload,
-                                   std::uint8_t version = kWireVersion);
+                                   std::string_view payload);
 StatusOr<StreamChunk> DecodeStreamChunk(std::string_view payload,
                                         std::uint8_t version = kWireVersion);
 
-std::string EncodeStreamAck(const StreamAck& ack, std::uint8_t version = kWireVersion);
+std::string EncodeStreamAck(const StreamAck& ack);
 StatusOr<StreamAck> DecodeStreamAck(std::string_view payload,
                                     std::uint8_t version = kWireVersion);
 
-std::string EncodeStreamEnd(const StreamEnd& end, std::uint8_t version = kWireVersion);
+std::string EncodeStreamEnd(const StreamEnd& end);
 StatusOr<StreamEnd> DecodeStreamEnd(std::string_view payload,
                                     std::uint8_t version = kWireVersion);
 

@@ -28,64 +28,13 @@ std::uint32_t GetU32Le(const char* bytes) {
          static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[3])) << 24;
 }
 
-Status CheckVersion(std::uint8_t version, const WireLimits& limits) {
-  std::uint8_t max_version = std::min(limits.max_version, kWireVersion);
-  if (version < kMinWireVersion || version > max_version) {
-    return DataLossError(StrFormat("unsupported wire version %u (accepts %u..%u)", version,
-                                   kMinWireVersion, max_version));
+// FrameType is the contiguous range kRequest..kStreamEnd.
+StatusOr<FrameType> CheckFrameType(std::uint8_t raw) {
+  if (raw < static_cast<std::uint8_t>(FrameType::kRequest) ||
+      raw > static_cast<std::uint8_t>(FrameType::kStreamEnd)) {
+    return DataLossError(StrFormat("unknown frame type %u", raw));
   }
-  return Status::Ok();
-}
-
-// The frame type namespace grows with the wire version: a type a peer's
-// declared version predates is as unparseable to it as an unknown one.
-StatusOr<FrameType> CheckFrameType(std::uint8_t raw, std::uint8_t version) {
-  switch (raw) {
-    case 1:
-      return FrameType::kRequest;
-    case 2:
-      return FrameType::kResponse;
-    case 3:
-      return FrameType::kError;
-    case 4:
-      return FrameType::kPing;
-    case 5:
-      return FrameType::kPong;
-    case 6:
-      return FrameType::kStatsRequest;
-    case 7:
-      return FrameType::kStatsResponse;
-    case 8:
-    case 9:
-      if (version < 3) {
-        return DataLossError(StrFormat("frame type %u requires wire version 3 (frame declares %u)",
-                                       raw, version));
-      }
-      return raw == 8 ? FrameType::kBatchRequest : FrameType::kBatchResponse;
-    case 10:
-    case 11:
-    case 12:
-    case 13:
-    case 14:
-      if (version < 4) {
-        return DataLossError(StrFormat("frame type %u requires wire version 4 (frame declares %u)",
-                                       raw, version));
-      }
-      switch (raw) {
-        case 10:
-          return FrameType::kStreamRequest;
-        case 11:
-          return FrameType::kStreamBegin;
-        case 12:
-          return FrameType::kStreamChunk;
-        case 13:
-          return FrameType::kStreamAck;
-        default:
-          return FrameType::kStreamEnd;
-      }
-    default:
-      return DataLossError(StrFormat("unknown frame type %u", raw));
-  }
+  return static_cast<FrameType>(raw);
 }
 
 void CountRx(std::size_t bytes) {
@@ -98,6 +47,14 @@ void CountRx(std::size_t bytes) {
 }
 
 }  // namespace
+
+Status CheckWireVersion(std::uint8_t version) {
+  if (version != kWireVersion) {
+    return DataLossError(
+        StrFormat("unsupported wire version %u (speaks %u)", version, kWireVersion));
+  }
+  return Status::Ok();
+}
 
 std::string_view FrameTypeName(FrameType type) {
   switch (type) {
@@ -133,12 +90,11 @@ std::string_view FrameTypeName(FrameType type) {
   return "unknown";
 }
 
-std::string EncodeFrame(FrameType type, std::string_view payload, std::uint8_t version) {
-  return EncodeFrameParts(type, {payload}, version);
+std::string EncodeFrame(FrameType type, std::string_view payload) {
+  return EncodeFrameParts(type, {payload});
 }
 
-std::string EncodeFrameParts(FrameType type, std::initializer_list<std::string_view> parts,
-                             std::uint8_t version) {
+std::string EncodeFrameParts(FrameType type, std::initializer_list<std::string_view> parts) {
   std::size_t payload_size = 0;
   for (std::string_view part : parts) {
     payload_size += part.size();
@@ -146,7 +102,7 @@ std::string EncodeFrameParts(FrameType type, std::initializer_list<std::string_v
   std::string out;
   out.reserve(kFrameMagic.size() + 2 + kMaxVarint64Bytes + payload_size + 4);
   out.append(kFrameMagic);
-  out.push_back(static_cast<char>(version));
+  out.push_back(static_cast<char>(kWireVersion));
   out.push_back(static_cast<char>(type));
   PutVarint64(out, payload_size);
   for (std::string_view part : parts) {
@@ -168,9 +124,9 @@ StatusOr<Frame> DecodeFrame(std::string_view bytes, std::size_t* consumed,
     return DataLossError("bad frame magic (expected \"CMIF\")");
   }
   std::uint8_t version = static_cast<std::uint8_t>(bytes[kMagicEnd]);
-  CMIF_RETURN_IF_ERROR(CheckVersion(version, limits));
+  CMIF_RETURN_IF_ERROR(CheckWireVersion(version));
   CMIF_ASSIGN_OR_RETURN(FrameType type,
-                        CheckFrameType(static_cast<std::uint8_t>(bytes[kMagicEnd + 1]), version));
+                        CheckFrameType(static_cast<std::uint8_t>(bytes[kMagicEnd + 1])));
   std::size_t pos = kMagicEnd + 2;
   CMIF_ASSIGN_OR_RETURN(std::uint64_t length, GetVarint64(bytes, &pos));
   if (length > limits.max_payload_bytes) {
@@ -223,11 +179,11 @@ StatusOr<std::optional<Frame>> FrameAssembler::Next() {
     return std::optional<Frame>();
   }
   std::uint8_t version = static_cast<std::uint8_t>(view[kMagicEnd]);
-  if (Status st = CheckVersion(version, limits_); !st.ok()) {
+  if (Status st = CheckWireVersion(version); !st.ok()) {
     poisoned_ = std::move(st);
     return poisoned_;
   }
-  StatusOr<FrameType> type = CheckFrameType(static_cast<std::uint8_t>(view[kMagicEnd + 1]), version);
+  StatusOr<FrameType> type = CheckFrameType(static_cast<std::uint8_t>(view[kMagicEnd + 1]));
   if (!type.ok()) {
     poisoned_ = type.status();
     return poisoned_;
@@ -275,8 +231,7 @@ StatusOr<std::optional<Frame>> FrameAssembler::Next() {
   return std::optional<Frame>(std::move(*frame));
 }
 
-Status WriteFrame(Socket& socket, FrameType type, std::string_view payload,
-                  std::uint8_t version) {
+Status WriteFrame(Socket& socket, FrameType type, std::string_view payload) {
   if (fault::Enabled()) {
     CMIF_RETURN_IF_ERROR(fault::InjectPoint("net.write"));
     // A slow-loris sender: the frame still goes out, just late. Against the
@@ -284,7 +239,7 @@ Status WriteFrame(Socket& socket, FrameType type, std::string_view payload,
     // reactor's partial-frame timeout is the real defense being exercised.
     CMIF_RETURN_IF_ERROR(fault::InjectPoint("net.slow_loris"));
   }
-  std::string encoded = EncodeFrame(type, payload, version);
+  std::string encoded = EncodeFrame(type, payload);
   if (fault::Enabled()) {
     // In-transit corruption: the receiver's CRC check turns it into a
     // structured kDataLoss and drops the connection.
@@ -314,9 +269,8 @@ StatusOr<std::optional<Frame>> ReadFrame(Socket& socket, const WireLimits& limit
     return DataLossError("bad frame magic (expected \"CMIF\")");
   }
   std::uint8_t version = static_cast<std::uint8_t>(head[4]);
-  CMIF_RETURN_IF_ERROR(CheckVersion(version, limits));
-  CMIF_ASSIGN_OR_RETURN(FrameType type,
-                        CheckFrameType(static_cast<std::uint8_t>(head[5]), version));
+  CMIF_RETURN_IF_ERROR(CheckWireVersion(version));
+  CMIF_ASSIGN_OR_RETURN(FrameType type, CheckFrameType(static_cast<std::uint8_t>(head[5])));
   std::uint32_t crc = Crc32(std::string_view(head + 4, 2));
 
   // Length varint, one byte at a time (it self-terminates).

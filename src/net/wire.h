@@ -14,11 +14,11 @@
 // check. After any decode error the stream is desynchronized — the only
 // safe recovery is to drop the connection, which both endpoints do.
 //
-// Version negotiation is per-frame and implicit: a peer accepts any version
-// in [kMinWireVersion, kWireVersion], decodes the payload by the version the
-// frame declares, and answers in that same version. A v2 client therefore
-// talks to a v3 server without handshakes — its requests simply carry no
-// deadline, and the server's replies omit the v3 response fields.
+// There is one wire version, kWireVersion, and no negotiation: every frame
+// declares it in its header, and any other version byte fails the header
+// check as kDataLoss before the payload is read. A peer that speaks another
+// version is answered with one kError frame and dropped, like any other
+// desynchronized stream.
 //
 // The socket read/write paths double as fault-injection sites: "net.read"
 // and "net.write" can fail transiently, "net.frame_corrupt" flips bytes of
@@ -42,25 +42,25 @@ namespace cmif {
 namespace net {
 
 inline constexpr std::string_view kFrameMagic = "CMIF";
-// Version 4: streamed delivery — PresentRequest grows a want_blocks flag,
-// PresentResponse can carry resolved data blocks, and the kStreamRequest/
-// kStreamBegin/kStreamChunk/kStreamAck/kStreamEnd frames exist (chunked
-// block transfer in schedule order, src/net/stream.h). Version 3 added
-// request deadlines, shed/queue_ms, and the batch frames; version 2
-// (TraceContext + kStats frames) is still accepted. A frame below
-// kMinWireVersion fails cleanly at the header (kDataLoss), never by
-// misparsing a payload.
+// The wire version every frame declares. Version 4 carries request
+// deadlines, shed/queue_ms, batch frames, inline data blocks and the
+// kStream* frames (chunked block transfer in schedule order,
+// src/net/stream.h). Frames declaring any other version are rejected at the
+// header (kDataLoss), never misparsed.
 inline constexpr std::uint8_t kWireVersion = 4;
-inline constexpr std::uint8_t kMinWireVersion = 2;
+
+// Ok for kWireVersion, kDataLoss naming `version` for anything else. The
+// frame header check and every payload decoder's version argument share it.
+Status CheckWireVersion(std::uint8_t version);
 
 // What a frame carries. kError is a protocol-level failure (overload, bad
 // frame, bad message) encoded as a wire Status; application-level outcomes
 // (degraded, failed compiles) travel inside a kResponse. kStatsRequest (an
 // empty payload) asks for a live telemetry snapshot, answered by a
 // kStatsResponse carrying an encoded StatsSnapshot (src/net/stats.h).
-// kBatchRequest/kBatchResponse (v3+) carry several PresentRequests/
+// kBatchRequest/kBatchResponse carry several PresentRequests/
 // PresentResponses in one frame, answered positionally. The kStream* frames
-// (v4+) carry chunked block delivery: kStreamRequest opens a stream,
+// carry chunked block delivery: kStreamRequest opens a stream,
 // kStreamBegin answers with the schedule prefix + chunk manifest, the
 // server then pushes kStreamChunk frames in prefetch order and closes with
 // kStreamEnd; kStreamAck is client→server delivery telemetry.
@@ -85,8 +85,8 @@ std::string_view FrameTypeName(FrameType type);
 
 struct Frame {
   FrameType type = FrameType::kError;
-  // The version declared in the frame header; responses mirror it so old
-  // clients get payloads they can parse.
+  // The version declared in the frame header (always kWireVersion once
+  // decoded: any other value fails the header check).
   std::uint8_t version = kWireVersion;
   std::string payload;
 };
@@ -95,24 +95,16 @@ struct WireLimits {
   // Upper bound on one frame's payload; a length prefix beyond this is
   // rejected before any allocation (a corrupted varint cannot OOM the peer).
   std::size_t max_payload_bytes = 8u << 20;
-  // Highest wire version this endpoint accepts. Lowering it below
-  // kWireVersion makes the endpoint behave like an older peer: frames in
-  // (max_version, kWireVersion] fail at the header exactly as a genuinely
-  // old implementation would reject them — the interop-fallback paths can
-  // therefore be tested against the real decoder, not a mock.
-  std::uint8_t max_version = kWireVersion;
 };
 
-// Renders one complete frame in the given wire version.
-std::string EncodeFrame(FrameType type, std::string_view payload,
-                        std::uint8_t version = kWireVersion);
+// Renders one complete frame.
+std::string EncodeFrame(FrameType type, std::string_view payload);
 
 // Renders one complete frame whose payload is `parts` concatenated, without
 // joining them first: a caller framing a slice of a shared buffer behind a
 // small message header copies the slice exactly once, into the frame.
 // EncodeFrameParts(t, {a, b}) == EncodeFrame(t, a + b).
-std::string EncodeFrameParts(FrameType type, std::initializer_list<std::string_view> parts,
-                             std::uint8_t version = kWireVersion);
+std::string EncodeFrameParts(FrameType type, std::initializer_list<std::string_view> parts);
 
 // Decodes the frame at the front of `bytes`. On success `*consumed` is the
 // frame's total size. Truncation, a bad magic/version/type, an oversized
@@ -152,8 +144,7 @@ class FrameAssembler {
 // site, the "net.frame_corrupt" corruption site, and the "net.slow_loris"
 // latency site; ReadFrame probes "net.read". Both count net.tx_bytes /
 // net.rx_bytes when obs is enabled.
-Status WriteFrame(Socket& socket, FrameType type, std::string_view payload,
-                  std::uint8_t version = kWireVersion);
+Status WriteFrame(Socket& socket, FrameType type, std::string_view payload);
 
 // nullopt on a clean EOF at a frame boundary (the peer is done). Transport
 // failures are kUnavailable; corrupt/truncated frames are kDataLoss.

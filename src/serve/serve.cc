@@ -392,15 +392,6 @@ StatusOr<std::shared_ptr<const StreamPlan>> ServeLoop::StreamPlanFor(
   });
 }
 
-StatusOr<std::shared_ptr<const CompiledPresentation>> ServeLoop::Handle(
-    const ServeRequest& request) {
-  ServeResponse response = Serve(request);
-  if (!response.served()) {
-    return response.error;
-  }
-  return std::move(response.presentation);
-}
-
 StatusOr<ServeStats> ServeLoop::Run(const std::vector<ServeRequest>& trace) {
   struct WorkerResult {
     std::vector<double> latencies_ms;

@@ -202,10 +202,6 @@ class ServeLoop {
       const ServeRequest& request, const CompiledPresentation& presentation,
       const std::vector<std::string>& channels = {});
 
-  // Compatibility wrapper over Serve(): the presentation on success (healthy,
-  // recovered, or degraded), the error status on failure.
-  StatusOr<std::shared_ptr<const CompiledPresentation>> Handle(const ServeRequest& request);
-
   // Serves the whole trace on `options.threads` workers and aggregates.
   StatusOr<ServeStats> Run(const std::vector<ServeRequest>& trace);
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/api/cmif.h"
+#include "src/base/crc32.h"
 #include "src/base/socket.h"
 #include "src/base/string_util.h"
 #include "src/fault/fault.h"
@@ -178,6 +179,56 @@ TEST(LoopbackTest, MalformedBytesGetErrorFrameThenDrop) {
     EXPECT_EQ(dropped.status().code(), StatusCode::kUnavailable) << dropped.status();
   }
   EXPECT_EQ(h.server->stats().protocol_errors, 1u);
+  h.server->Stop();
+}
+
+TEST(LoopbackTest, OldWireVersionPeerIsRefusedCleanly) {
+  // A well-formed frame from an older peer — a v3 kRequest whose CRC is
+  // valid — is refused at the header: exactly one kError frame, itself at
+  // kWireVersion, naming the version, then the drop. Other connections keep
+  // being served.
+  Harness h = Harness::Start(1);
+  NetClient client = h.Client();
+  PresentRequest request;
+  request.document = h.corpus->document(0).name;
+  ASSERT_TRUE(client.Present(request).ok());
+  const std::uint64_t errors_before = h.server->stats().protocol_errors;
+
+  // The v3 request layout is the current one without its trailing
+  // want_blocks byte; the CRC is recomputed over the rewritten header.
+  std::string payload = EncodeRequest(request);
+  payload.pop_back();
+  std::string frame = EncodeFrame(FrameType::kRequest, payload);
+  frame.resize(frame.size() - 4);
+  frame[4] = 3;
+  const std::uint32_t crc = Crc32(std::string_view(frame).substr(4));
+  for (int shift = 0; shift < 32; shift += 8) {
+    frame.push_back(static_cast<char>((crc >> shift) & 0xff));
+  }
+  auto socket = ConnectTcp("127.0.0.1", h.server->port(), 5000);
+  ASSERT_TRUE(socket.ok()) << socket.status();
+  ASSERT_TRUE(socket->WriteAll(frame).ok());
+  auto answer = ReadFrame(*socket, {});
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  ASSERT_TRUE(answer->has_value());
+  EXPECT_EQ((*answer)->type, FrameType::kError);
+  EXPECT_EQ((*answer)->version, kWireVersion);
+  Status carried;
+  ASSERT_TRUE(DecodeWireStatus((*answer)->payload, &carried).ok());
+  EXPECT_EQ(carried.code(), StatusCode::kDataLoss);
+  EXPECT_NE(carried.message().find("version 3"), std::string::npos) << carried;
+  auto dropped = ReadFrame(*socket, {});
+  if (dropped.ok()) {
+    EXPECT_FALSE(dropped->has_value()) << "a second frame followed the kError";
+  } else {
+    EXPECT_EQ(dropped.status().code(), StatusCode::kUnavailable) << dropped.status();
+  }
+  EXPECT_EQ(h.server->stats().protocol_errors, errors_before + 1);
+
+  auto served = client.Present(request);
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(served->outcome, ServeOutcome::kHealthy);
+  EXPECT_EQ(client.reconnects(), 0u);
   h.server->Stop();
 }
 

@@ -24,7 +24,7 @@ PresentRequest SampleRequest() {
   request.trace.trace_id = 0x1122334455667788ull;
   request.trace.parent_span_id = 42;
   request.trace.sampled = true;
-  request.deadline_ms = 150;  // exercises the v3 tail in every sweep below
+  request.deadline_ms = 150;  // a two-byte varint in every sweep below
   return request;
 }
 
@@ -81,15 +81,15 @@ TEST(ProtocolTest, DefaultRequestRoundTrip) {
 }
 
 TEST(ProtocolTest, TraceContextEncodingGolden) {
-  // The version-2 wire layout of the trailing trace fields, byte for byte —
-  // a silent re-ordering or re-encoding would break mixed-build tracing even
-  // though same-build round-trips still pass.
+  // The wire layout of the trace fields, byte for byte — a silent
+  // re-ordering or re-encoding would break mixed-build tracing even though
+  // same-build round-trips still pass.
   PresentRequest request;
   request.document = "d";
   request.trace.trace_id = 42;
   request.trace.parent_span_id = 7;
   request.trace.sampled = true;
-  std::string encoded = EncodeRequest(request, /*version=*/2);
+  std::string encoded = EncodeRequest(request);
   const std::string expected(
       "\x01"
       "d"
@@ -99,21 +99,23 @@ TEST(ProtocolTest, TraceContextEncodingGolden) {
       "\x01"          // allow_degraded
       "\x2a"          // trace_id 42
       "\x07"          // parent_span_id 7
-      "\x01",         // sampled
-      9);
+      "\x01"          // sampled
+      "\x00"          // deadline_ms 0
+      "\x00",         // want_blocks
+      11);
   EXPECT_EQ(encoded, expected);
 }
 
 TEST(ProtocolTest, DeadlineEncodingGoldenV3) {
-  // The version-3 layout appends exactly one varint — the relative deadline
-  // — after the v2 fields, so a v3 payload is a v2 payload plus a tail.
+  // The relative deadline is one varint after the trace fields (where
+  // version 3 put it), followed only by the want_blocks flag.
   PresentRequest request;
   request.document = "d";
   request.trace.trace_id = 42;
   request.trace.parent_span_id = 7;
   request.trace.sampled = true;
   request.deadline_ms = 300;
-  std::string encoded = EncodeRequest(request, /*version=*/3);
+  std::string encoded = EncodeRequest(request);
   const std::string expected(
       "\x01"
       "d"
@@ -126,29 +128,22 @@ TEST(ProtocolTest, DeadlineEncodingGoldenV3) {
       "\x01"          // sampled
       "\xac\x02",     // deadline_ms 300 (LEB128)
       11);
-  EXPECT_EQ(encoded, expected);
-  // And the v2 rendering of the same request drops the deadline entirely.
-  EXPECT_EQ(EncodeRequest(request, /*version=*/2), expected.substr(0, 9));
+  EXPECT_EQ(encoded, expected + std::string(1, '\x00'));  // + want_blocks
 }
 
 TEST(ProtocolTest, VersionedDecodeIsStructural) {
-  // A v3 payload carrying a deadline is trailing garbage to a v2 decoder,
-  // and a v2 payload is truncated to a v3 decoder — version mismatches fail
-  // structurally instead of silently mis-fielding.
+  // An older layout is never mis-fielded as the current one: a v3 request
+  // (the current layout without want_blocks) is truncated to the decoder,
+  // and the current payload declared as v3 is refused outright.
   PresentRequest request = SampleRequest();
   request.deadline_ms = 25;
-  std::string v3 = EncodeRequest(request, /*version=*/3);
-  EXPECT_EQ(DecodeRequest(v3, /*version=*/2).status().code(), StatusCode::kDataLoss);
-  std::string v2 = EncodeRequest(request, /*version=*/2);
-  EXPECT_EQ(DecodeRequest(v2, /*version=*/3).status().code(), StatusCode::kDataLoss);
-  // Same-version decodes agree on everything but the v3-only field.
-  auto from_v2 = DecodeRequest(v2, /*version=*/2);
-  ASSERT_TRUE(from_v2.ok()) << from_v2.status();
-  EXPECT_EQ(from_v2->deadline_ms, 0);  // dropped by the v2 encoding
-  auto from_v3 = DecodeRequest(v3, /*version=*/3);
-  ASSERT_TRUE(from_v3.ok()) << from_v3.status();
-  EXPECT_EQ(from_v3->deadline_ms, 25);
-  EXPECT_EQ(from_v3->document, from_v2->document);
+  std::string current = EncodeRequest(request);
+  std::string v3 = current.substr(0, current.size() - 1);
+  EXPECT_EQ(DecodeRequest(v3).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeRequest(current, /*version=*/3).status().code(), StatusCode::kDataLoss);
+  auto decoded = DecodeRequest(current, kWireVersion);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->deadline_ms, 25);
 }
 
 TEST(ProtocolTest, ResponseShedFieldsRoundTripV3) {
@@ -157,15 +152,11 @@ TEST(ProtocolTest, ResponseShedFieldsRoundTripV3) {
   response.error = ResourceExhaustedError("scheduler queue full");
   response.shed = true;
   response.queue_ms = 12.5;
-  auto decoded = DecodeResponse(EncodeResponse(response, /*version=*/3), /*version=*/3);
+  auto decoded = DecodeResponse(EncodeResponse(response));
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_TRUE(decoded->shed);
   EXPECT_EQ(decoded->queue_ms, 12.5);
-  // The v2 rendering has no shed bit: a legacy client sees a plain failure.
-  auto legacy = DecodeResponse(EncodeResponse(response, /*version=*/2), /*version=*/2);
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-  EXPECT_FALSE(legacy->shed);
-  EXPECT_EQ(legacy->error.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(decoded->error.code(), StatusCode::kResourceExhausted);
 }
 
 TEST(ProtocolTest, ResponseServerSpansRoundTrip) {
@@ -191,15 +182,12 @@ TEST(ProtocolRobustnessTest, TraceFieldsWithoutIdAreRejected) {
   // encoder; a decoder that accepted them would let spans dangle.
   PresentRequest request;
   request.document = "d";
-  std::string encoded = EncodeRequest(request, /*version=*/2);
-  ASSERT_EQ(encoded.back(), '\x00');  // sampled=false
-  encoded.back() = '\x01';            // sampled without a trace id
-  EXPECT_EQ(DecodeRequest(encoded, /*version=*/2).status().code(), StatusCode::kDataLoss);
-  // Same contract under v3, where the deadline varint trails the trace.
-  std::string v3 = EncodeRequest(request, /*version=*/3);
-  ASSERT_EQ(v3[v3.size() - 2], '\x00');  // sampled=false
-  v3[v3.size() - 2] = '\x01';
-  EXPECT_EQ(DecodeRequest(v3, /*version=*/3).status().code(), StatusCode::kDataLoss);
+  std::string encoded = EncodeRequest(request);
+  // The deadline and want_blocks varints trail the trace fields.
+  char& sampled = encoded[encoded.size() - 3];
+  ASSERT_EQ(sampled, '\x00');  // sampled=false
+  sampled = '\x01';            // sampled without a trace id
+  EXPECT_EQ(DecodeRequest(encoded).status().code(), StatusCode::kDataLoss);
 }
 
 TEST(ProtocolTest, ResponseRoundTrip) {
@@ -298,12 +286,13 @@ TEST(ProtocolRobustnessTest, HugeClaimedCountsAreRejectedBeforeAllocation) {
 
 TEST(ProtocolRobustnessTest, OutOfRangeEnumsAreRejected) {
   // Booleans must be exactly 0 or 1, status codes and outcomes in range.
-  // The trace sampling bit is the message's last byte.
+  // The trace sampling bit precedes the two-byte deadline and want_blocks.
   PresentRequest request = SampleRequest();
-  std::string encoded = EncodeRequest(request, /*version=*/2);
-  ASSERT_EQ(encoded.back(), '\x01');  // trace.sampled
-  encoded.back() = 7;
-  auto result = DecodeRequest(encoded, /*version=*/2);
+  std::string encoded = EncodeRequest(request);
+  char& sampled = encoded[encoded.size() - 4];
+  ASSERT_EQ(sampled, '\x01');  // trace.sampled
+  sampled = 7;
+  auto result = DecodeRequest(encoded);
   EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
 }
 

@@ -4,8 +4,7 @@
 // slow-loris partial-frame drops vs. legitimately idle connections,
 // short-write resumption under the net.partial_write fault, graceful
 // shutdown that flushes in-flight responses before worker-pool teardown,
-// v2 client interop against the v3 server, batched requests, and a
-// 256-connection pipelined soak (fixed seed, zero dropped responses).
+// batched requests, and a 256-connection pipelined soak (fixed seed, zero dropped responses).
 #include "src/net/reactor.h"
 
 #include <gtest/gtest.h>
@@ -68,7 +67,7 @@ TEST(ReactorTest, EchoesFramesAndCountsConnections) {
       options,
       [&raw](std::uint64_t conn_id, Frame frame) {
         std::string reversed(frame.payload.rbegin(), frame.payload.rend());
-        (void)raw->SendFrame(conn_id, FrameType::kPong, reversed, frame.version);
+        (void)raw->SendFrame(conn_id, FrameType::kPong, reversed);
       },
       [&raw](std::uint64_t conn_id) { raw->CloseConnection(conn_id); },
       [](std::uint64_t, const Status&) {},
@@ -279,69 +278,6 @@ TEST(ReactorServerTest, BatchedRequestsAnswerPositionally) {
   auto solo = client.Present(batch[1]);
   ASSERT_TRUE(solo.ok());
   EXPECT_EQ((*responses)[1].presentation_hash, solo->presentation_hash);
-  // A v2 client cannot batch (local refusal, not a wire error).
-  NetClientOptions legacy_options;
-  legacy_options.port = h.server->port();
-  legacy_options.wire_version = 2;
-  NetClient legacy(legacy_options);
-  EXPECT_EQ(legacy.PresentBatch(batch).status().code(), StatusCode::kInvalidArgument);
-  h.server->Stop();
-}
-
-// ---- version interop -----------------------------------------------------
-
-TEST(ReactorServerTest, V2ClientInteroperates) {
-  Harness h = Harness::Start(2);
-  NetClientOptions options;
-  options.port = h.server->port();
-  options.wire_version = 2;
-  NetClient client(options);
-  ASSERT_TRUE(client.Ping().ok());
-  PresentRequest request;
-  request.document = h.corpus->document(0).name;
-  request.deadline_ms = 50;  // silently dropped by the v2 encoding
-  auto response = client.Present(request);
-  ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_EQ(response->outcome, ServeOutcome::kHealthy);
-  EXPECT_FALSE(response->shed);       // v2 payloads have no shed field
-  EXPECT_EQ(response->queue_ms, 0.0);
-  EXPECT_EQ(Fnv1a64(response->presentation), response->presentation_hash);
-
-  // On the wire the server mirrors the request frame's version.
-  auto socket = ConnectTcp("127.0.0.1", h.server->port(), 5000);
-  ASSERT_TRUE(socket.ok());
-  ASSERT_TRUE(
-      WriteFrame(*socket, FrameType::kRequest, EncodeRequest(request, 2), 2).ok());
-  auto frame = ReadFrame(*socket, {});
-  ASSERT_TRUE(frame.ok() && frame->has_value());
-  EXPECT_EQ((*frame)->version, 2);
-  EXPECT_EQ((*frame)->type, FrameType::kResponse);
-  ASSERT_TRUE(DecodeResponse((*frame)->payload, 2).ok());
-
-  // A v3 frame on the same server still answers v3.
-  ASSERT_TRUE(
-      WriteFrame(*socket, FrameType::kRequest, EncodeRequest(request, 3), 3).ok());
-  frame = ReadFrame(*socket, {});
-  ASSERT_TRUE(frame.ok() && frame->has_value());
-  EXPECT_EQ((*frame)->version, 3);
-  h.server->Stop();
-}
-
-TEST(ReactorServerTest, BatchFramesAreRejectedUnderV2) {
-  // Frame type 8 (kBatchRequest) does not exist in the v2 namespace: a v2
-  // frame claiming it is a protocol error, not a silent upgrade.
-  Harness h = Harness::Start(1);
-  auto socket = ConnectTcp("127.0.0.1", h.server->port(), 5000);
-  ASSERT_TRUE(socket.ok());
-  std::string batch = EncodeBatchRequest({}, 3);
-  std::string frame_v3 = EncodeFrame(FrameType::kBatchRequest, batch, 3);
-  std::string downgraded = frame_v3;
-  downgraded[4] = 2;  // rewrite the version byte: CRC now fails => kError
-  ASSERT_TRUE(socket->WriteAll(downgraded).ok());
-  auto answer = ReadFrame(*socket, {});
-  ASSERT_TRUE(answer.ok()) << answer.status();
-  ASSERT_TRUE(answer->has_value());
-  EXPECT_EQ((*answer)->type, FrameType::kError);
   h.server->Stop();
 }
 
@@ -355,7 +291,7 @@ TEST(ReactorServerTest, SlowLorisPartialFrameIsDropped) {
   ASSERT_TRUE(socket.ok());
   // Trickle half a frame header and stall: the sweep (every 50ms) must drop
   // the connection once the partial frame is older than the timeout.
-  ASSERT_TRUE(socket->WriteAll("CMIF\x03").ok());
+  ASSERT_TRUE(socket->WriteAll("CMIF\x04").ok());
   auto dropped = ReadFrame(*socket, {});
   // EOF or reset — never a hang (the read deadline above would fire at 5s).
   if (dropped.ok()) {
@@ -464,8 +400,8 @@ TEST(ReactorServerTest, RxBytesCountEachInboundByteOnce) {
   ASSERT_TRUE(pong.ok() && pong->has_value());
   ASSERT_EQ((*pong)->type, FrameType::kPong);
   // The server counted the inbound ping once; this test's ReadFrame counted
-  // the inbound pong once. The pong mirrors the ping's payload and version,
-  // so both frames encode to the same size: exactly 2x, not 3x.
+  // the inbound pong once. The pong mirrors the ping's payload, so both
+  // frames encode to the same size: exactly 2x, not 3x.
   EXPECT_EQ(obs::GetCounter("net.rx_bytes").value() - before,
             static_cast<std::int64_t>(2 * ping.size()));
   h.server->Stop();

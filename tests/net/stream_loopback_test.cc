@@ -1,9 +1,9 @@
 // Streamed delivery over a real loopback socket: the chunked path must be
 // byte-identical to blob delivery, survive chunk-level chaos by resuming at
 // the acked boundary, restart (not resume) on end-to-end integrity
-// failures, fall back to plain requests silently across the v3/v4 version
-// boundary in both directions, and account for all of it in the server's
-// live stats. Ephemeral ports throughout.
+// failures, retry a stream request corrupted in transit as a stream, and
+// account for all of it in the server's live stats. Ephemeral ports
+// throughout.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -40,11 +40,9 @@ struct Harness {
     return h;
   }
 
-  NetClient Client(std::uint8_t wire_version = kWireVersion,
-                   int max_attempts = 3) const {
+  NetClient Client(int max_attempts = 3) const {
     NetClientOptions options;
     options.port = server->port();
-    options.wire_version = wire_version;
     options.retry.max_attempts = max_attempts;
     return NetClient(options);
   }
@@ -153,7 +151,7 @@ TEST(StreamLoopbackTest, StreamedDeliveryMatchesBlobByteForByte) {
 
 TEST(StreamLoopbackTest, ChunkDropsResumeAtTheAckedBoundary) {
   Harness h = Harness::Start(2);
-  NetClient client = h.Client(kWireVersion, /*max_attempts=*/32);
+  NetClient client = h.Client(/*max_attempts=*/32);
   PresentRequest request;
   request.document = h.corpus->document(0).name;
   PresentRequest blob_request = request;
@@ -187,7 +185,7 @@ TEST(StreamLoopbackTest, ChunkDropsResumeAtTheAckedBoundary) {
 
 TEST(StreamLoopbackTest, CorruptChunksRestartAndNeverDeliverWrongBytes) {
   Harness h = Harness::Start(2);
-  NetClient client = h.Client(kWireVersion, /*max_attempts=*/16);
+  NetClient client = h.Client(/*max_attempts=*/16);
   PresentRequest request;
   request.document = h.corpus->document(0).name;
   PresentRequest blob_request = request;
@@ -214,6 +212,45 @@ TEST(StreamLoopbackTest, CorruptChunksRestartAndNeverDeliverWrongBytes) {
   h.server->Stop();
 }
 
+#ifndef CMIF_FAULT_DISABLED
+TEST(StreamLoopbackTest, CorruptedStreamRequestsRetryAsStreams) {
+  Harness h = Harness::Start(1);
+  NetClientOptions options;
+  options.port = h.server->port();
+  options.retry.max_attempts = 32;
+  // A length prefix corrupted upward leaves its reader waiting for bytes
+  // that never come; only the io timeout ends that wait, so keep it short.
+  options.io_timeout_ms = 1000;
+  NetClient client(options);
+  PresentRequest request;
+  request.document = h.corpus->document(0).name;
+  PresentRequest blob_request = request;
+  blob_request.want_blocks = true;
+  auto blob = client.Present(blob_request);
+  ASSERT_TRUE(blob.ok()) << blob.status();
+  const std::uint64_t errors_before = h.server->stats().protocol_errors;
+
+  // Frames are corrupted in transit both ways. A corrupted stream request
+  // (or ack) fails the server's CRC check, and the server answers kError
+  // (kDataLoss) before dropping the connection: the client must reconnect
+  // and ask for the stream again — never settle for a blob.
+  auto plan = fault::FaultPlan::Parse("seed=5;net.frame_corrupt:corrupt=0.1");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  {
+    fault::ScopedPlan chaos(*plan);
+    for (int i = 0; i < 8; ++i) {
+      auto streamed = client.PresentStream(request, kTestChunkBytes);
+      ASSERT_TRUE(streamed.ok()) << "call " << i << ": " << streamed.status();
+      EXPECT_TRUE(streamed->streamed) << "call " << i << " came back as a blob";
+      ExpectSameDelivery(*streamed, *blob);
+    }
+  }
+  EXPECT_GT(h.server->stats().protocol_errors, errors_before)
+      << "the fault plan never corrupted a frame the server read";
+  h.server->Stop();
+}
+#endif  // CMIF_FAULT_DISABLED
+
 TEST(StreamLoopbackTest, Level3ChaosNeverDeliversWrongBytes) {
   // The full chaos plan (serve + net + chunk sites at level 3). Under this
   // much fault pressure a stream can exhaust its retry budget — a corrupted
@@ -234,7 +271,7 @@ TEST(StreamLoopbackTest, Level3ChaosNeverDeliversWrongBytes) {
   ASSERT_TRUE(blob.ok()) << blob.status();
 
   fault::ScopedPlan chaos(fault::StandardChaosPlan(3));
-  NetClient client = h.Client(kWireVersion, /*max_attempts=*/32);
+  NetClient client = h.Client(/*max_attempts=*/32);
   constexpr int kRequests = 10;
   int delivered = 0;
   for (int i = 0; i < kRequests; ++i) {
@@ -250,58 +287,6 @@ TEST(StreamLoopbackTest, Level3ChaosNeverDeliversWrongBytes) {
     }
   }
   EXPECT_GE(delivered, kRequests / 2) << "chaos should degrade streaming, not disable it";
-  h.server->Stop();
-}
-
-TEST(StreamLoopbackTest, V3ClientFallsBackToPlainDeliverySilently) {
-  Harness h = Harness::Start(1);
-  NetClient v4 = h.Client();
-  PresentRequest request;
-  request.document = h.corpus->document(0).name;
-  auto reference = v4.Present(request);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-
-  // A legacy client never opens streams: same presentation, no blocks, no
-  // error surfaced to the caller.
-  NetClient v3 = h.Client(/*wire_version=*/3);
-  auto fallback = v3.PresentStream(request, kTestChunkBytes);
-  ASSERT_TRUE(fallback.ok()) << fallback.status();
-  EXPECT_FALSE(fallback->streamed);
-  EXPECT_TRUE(fallback->blocks.empty());
-  EXPECT_EQ(fallback->chunks_received, 0u);
-  EXPECT_EQ(fallback->response.presentation, reference->presentation);
-  EXPECT_EQ(fallback->response.presentation_hash, reference->presentation_hash);
-  auto stats = v4.FetchStats();
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->streams, 0u) << "no stream may have been opened";
-  h.server->Stop();
-}
-
-TEST(StreamLoopbackTest, V4ClientFallsBackAgainstAV3CappedServer) {
-  // A server that predates streams rejects any v4 frame at the header and
-  // answers kError. The client must silently downgrade to the plain v3
-  // request path — the caller just sees blob delivery.
-  NetServerOptions net_options;
-  net_options.limits.max_version = 3;
-  Harness h = Harness::Start(1, {}, net_options);
-  NetClient client = h.Client();
-  PresentRequest request;
-  request.document = h.corpus->document(0).name;
-  auto fallback = client.PresentStream(request, kTestChunkBytes);
-  ASSERT_TRUE(fallback.ok()) << fallback.status();
-  EXPECT_FALSE(fallback->streamed);
-  EXPECT_TRUE(fallback->blocks.empty());
-  EXPECT_EQ(fallback->response.outcome, ServeOutcome::kHealthy);
-  EXPECT_FALSE(fallback->response.presentation.empty());
-  EXPECT_EQ(Fnv1a64(fallback->response.presentation),
-            fallback->response.presentation_hash);
-
-  // Pin why the downgrade matters: a plain v4 request bounces off the same
-  // header check and is *not* silently recoverable.
-  NetClient naive = h.Client(kWireVersion, /*max_attempts=*/1);
-  auto direct = naive.Present(request);
-  ASSERT_FALSE(direct.ok());
-  EXPECT_EQ(direct.status().code(), StatusCode::kUnavailable);
   h.server->Stop();
 }
 
@@ -326,15 +311,6 @@ TEST(StreamLoopbackTest, StreamingCountersTravelInV4StatsOnly) {
   std::string json = StatsSnapshotJson(*stats);
   EXPECT_NE(json.find("\"streaming\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"streams\": 1"), std::string::npos) << json;
-
-  // A v3 stats fetch still works — the streaming tail simply does not
-  // travel, decoding to zeros rather than failing.
-  NetClient v3 = h.Client(/*wire_version=*/3);
-  auto legacy = v3.FetchStats();
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-  EXPECT_EQ(legacy->requests, stats->requests);
-  EXPECT_EQ(legacy->streams, 0u);
-  EXPECT_EQ(legacy->stream_chunks, 0u);
   h.server->Stop();
 }
 
@@ -360,9 +336,6 @@ TEST(StreamLoopbackTest, ReportedStallsReachTheServerCounters) {
 
   // The blob fallback has no stream to attribute stalls to.
   EXPECT_EQ(client.ReportStreamStalls(0, 1).code(), StatusCode::kInvalidArgument);
-  NetClient v3 = h.Client(/*wire_version=*/3);
-  EXPECT_EQ(v3.ReportStreamStalls(streamed->stream_id, 1).code(),
-            StatusCode::kFailedPrecondition);
   h.server->Stop();
 }
 
@@ -456,7 +429,7 @@ TEST(StreamLoopbackTest, ChunkCorruptionNeverReachesTheSharedPlan) {
   // "net.chunk.corrupt" flips bytes of a per-request copy before framing;
   // the memoized plan every later stream and blob is cut from stays clean.
   Harness h = Harness::Start(1);
-  NetClient client = h.Client(kWireVersion, /*max_attempts=*/16);
+  NetClient client = h.Client(/*max_attempts=*/16);
   const SystemProfile& profile = h.loop->options().profiles[0];
   PresentRequest request;
   request.document = h.corpus->document(0).name;

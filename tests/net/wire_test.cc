@@ -7,7 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+
+#include "src/base/crc32.h"
+#include "src/base/string_util.h"
+#include "src/net/protocol.h"
+#include "src/net/stats.h"
+#include "src/net/stream.h"
 
 namespace cmif {
 namespace net {
@@ -138,50 +145,56 @@ TEST(WireRobustnessTest, UnknownFrameTypeIsRejected) {
   EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
 }
 
-TEST(WireRobustnessTest, StreamFrameTypesRequireV4) {
-  // Types 10..14 (streamed delivery) joined the protocol in v4. A v3 frame
-  // claiming them is a desync, not a silent upgrade — exactly the header
-  // check an older peer applies, which is what the client's silent blob
-  // fallback relies on.
-  for (FrameType type : {FrameType::kStreamRequest, FrameType::kStreamBegin,
-                         FrameType::kStreamChunk, FrameType::kStreamAck,
-                         FrameType::kStreamEnd}) {
-    std::string v4 = EncodeFrame(type, "", 4);
+TEST(WireRobustnessTest, OnlyTheCurrentVersionIsAccepted) {
+  // There is one wire version. A frame declaring any other — older or
+  // newer — fails at the header as kDataLoss naming the version, in the
+  // one-shot decoder and in the reactor's assembler alike (the assembler
+  // from the header bytes alone). The CRC is recomputed over the rewritten
+  // header, so the version check is what fires. Payload decoders handed
+  // any other version fail the same way, whatever the payload.
+  StatsSnapshot snapshot;
+  const std::string stats = EncodeStatsSnapshot(snapshot);
+  const std::string request = EncodeRequest(PresentRequest());
+  const std::string response = EncodeResponse(PresentResponse());
+  for (std::uint8_t version : {0, 1, 2, 3, 5, 255}) {
+    SCOPED_TRACE(StrFormat("version %u", version));
+    const std::string named = StrFormat("wire version %u ", version);
+    std::string frame = EncodeFrame(FrameType::kRequest, request);
+    frame.resize(frame.size() - 4);
+    frame[4] = static_cast<char>(version);
+    const std::uint32_t crc = Crc32(std::string_view(frame).substr(4));
+    for (int shift = 0; shift < 32; shift += 8) {
+      frame.push_back(static_cast<char>((crc >> shift) & 0xff));
+    }
     std::size_t consumed = 0;
-    ASSERT_TRUE(DecodeFrame(v4, &consumed, {}).ok());
-    std::string v3 = v4;
-    v3[4] = 3;  // demote the version byte; the type is now out of range
-    auto result = DecodeFrame(v3, &consumed, {});
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
+    auto decoded = DecodeFrame(frame, &consumed, {});
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(decoded.status().message().find(named), std::string::npos)
+        << decoded.status().message();
+
+    FrameAssembler assembler;
+    assembler.Feed(std::string_view(frame).substr(0, 6));
+    auto next = assembler.Next();
+    ASSERT_FALSE(next.ok());
+    EXPECT_EQ(next.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(next.status().message().find(named), std::string::npos)
+        << next.status().message();
+
+    for (const Status& status :
+         {DecodeRequest(request, version).status(), DecodeResponse(response, version).status(),
+          DecodeBatchRequest(EncodeBatchRequest({}), version).status(),
+          DecodeBatchResponse(EncodeBatchResponse({}), version).status(),
+          DecodeStatsSnapshot(stats, version).status(),
+          DecodeStreamRequest(EncodeStreamRequest(StreamRequest()), version).status(),
+          DecodeStreamBegin(EncodeStreamBegin(StreamBegin()), version).status(),
+          DecodeStreamChunk(EncodeStreamChunk(StreamChunk{1, 0, "x"}), version).status(),
+          DecodeStreamAck(EncodeStreamAck(StreamAck()), version).status(),
+          DecodeStreamEnd(EncodeStreamEnd(StreamEnd()), version).status()}) {
+      EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status;
+      EXPECT_NE(status.message().find(named), std::string::npos) << status;
+    }
   }
-}
-
-TEST(WireRobustnessTest, BatchFrameTypesRequireV3) {
-  // Types 8/9 (batch) joined the protocol in v3. A v2 frame claiming them
-  // is a desync, not a silent upgrade — the version-aware type check fires
-  // on the header bytes alone, before the payload or CRC even arrive.
-  std::string v3 = EncodeFrame(FrameType::kBatchRequest, "", 3);
-  std::size_t consumed = 0;
-  ASSERT_TRUE(DecodeFrame(v3, &consumed, {}).ok());
-  std::string v2 = v3;
-  v2[4] = 2;  // demote the version byte; type 8 is now out of range
-  auto result = DecodeFrame(v2, &consumed, {});
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
-}
-
-TEST(WireTest, OldWireVersionStillEncodes) {
-  // v2 frames stay emittable (legacy clients) and decode with the frame's
-  // declared version surfaced, so codecs upstream pick the right payload
-  // schema.
-  std::string frame = EncodeFrame(FrameType::kRequest, "legacy", 2);
-  EXPECT_EQ(static_cast<unsigned char>(frame[4]), 2u);
-  std::size_t consumed = 0;
-  auto decoded = DecodeFrame(frame, &consumed);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->version, 2u);
-  EXPECT_EQ(decoded->payload, "legacy");
 }
 
 TEST(FrameAssemblerTest, ReassemblesByteAtATime) {

@@ -39,9 +39,9 @@ Fixture BuildFixture(const std::string& dir) {
   options.threads = 1;
   options.use_cache = false;
   ServeLoop loop(*fx.corpus, options);
-  auto compiled = loop.Handle(ServeRequest{});
-  EXPECT_TRUE(compiled.ok()) << compiled.status();
-  fx.compiled = std::move(compiled).value();
+  ServeResponse compiled = loop.Serve(ServeRequest{});
+  EXPECT_TRUE(compiled.served()) << compiled.error;
+  fx.compiled = std::move(compiled.presentation);
   fx.pristine_hash = net::PresentationHash(*fx.compiled, {});
 
   fx.key.document_hash = fx.corpus->document(0).document_hash;

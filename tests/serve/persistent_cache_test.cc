@@ -46,9 +46,9 @@ std::shared_ptr<const CompiledPresentation> CompileFresh(ServeCorpus& corpus,
   options.threads = 1;
   options.use_cache = false;
   ServeLoop loop(corpus, options);
-  auto compiled = loop.Handle(request);
-  EXPECT_TRUE(compiled.ok()) << compiled.status();
-  return std::move(compiled).value();
+  ServeResponse compiled = loop.Serve(request);
+  EXPECT_TRUE(compiled.served()) << compiled.error;
+  return std::move(compiled.presentation);
 }
 
 TEST(CompiledWireFormatTest, SerializeParseRoundTripIsByteIdentical) {

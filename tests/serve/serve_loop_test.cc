@@ -79,14 +79,14 @@ TEST(ServeLoopTest, CacheHitIsBitIdenticalToColdPath) {
   ServeRequest request;
   request.document = 1;
   request.profile = 1;  // personal profile exercises filter planning
-  auto cold = loop.Handle(request);
-  ASSERT_TRUE(cold.ok()) << cold.status();
+  ServeResponse cold = loop.Serve(request);
+  ASSERT_TRUE(cold.served()) << cold.error;
   EXPECT_EQ(loop.cache().stats().misses, 1u);
 
-  auto warm = loop.Handle(request);
-  ASSERT_TRUE(warm.ok()) << warm.status();
+  ServeResponse warm = loop.Serve(request);
+  ASSERT_TRUE(warm.served()) << warm.error;
   EXPECT_EQ(loop.cache().stats().hits, 1u);
-  EXPECT_EQ((*warm)->map.Serialize(), (*cold)->map.Serialize());
+  EXPECT_EQ(warm.presentation->map.Serialize(), cold.presentation->map.Serialize());
 
   // The compiled mapping must equal what a direct pipeline run produces.
   const ServeDocument& doc = corpus->document(request.document);
@@ -98,22 +98,23 @@ TEST(ServeLoopTest, CacheHitIsBitIdenticalToColdPath) {
     });
   });
   ASSERT_TRUE(direct.ok()) << direct.status();
-  EXPECT_EQ((*warm)->map.Serialize(), direct->presentation_map.Serialize());
-  EXPECT_EQ((*warm)->filter.plans.size(), direct->filter.plans.size());
-  EXPECT_EQ((*warm)->schedule.schedule.events().size(), direct->schedule.schedule.events().size());
+  EXPECT_EQ(warm.presentation->map.Serialize(), direct->presentation_map.Serialize());
+  EXPECT_EQ(warm.presentation->filter.plans.size(), direct->filter.plans.size());
+  EXPECT_EQ(warm.presentation->schedule.schedule.events().size(),
+            direct->schedule.schedule.events().size());
 }
 
 TEST(ServeLoopTest, StoreMutationInvalidatesCachedCompilations) {
   auto corpus = Corpus(1);
   ServeLoop loop(*corpus, ServeOptions{});
   ServeRequest request;
-  ASSERT_TRUE(loop.Handle(request).ok());
-  ASSERT_TRUE(loop.Handle(request).ok());
+  ASSERT_TRUE(loop.Serve(request).served());
+  ASSERT_TRUE(loop.Serve(request).served());
   EXPECT_EQ(loop.cache().stats().hits, 1u);
 
   // Any write section bumps the generation; the next request recompiles.
   corpus->store().WithWrite([](DescriptorStore&) { return 0; });
-  ASSERT_TRUE(loop.Handle(request).ok());
+  ASSERT_TRUE(loop.Serve(request).served());
   MappingCache::Stats stats = loop.cache().stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 2u);
@@ -125,8 +126,8 @@ TEST(ServeLoopTest, DisabledCacheAlwaysCompiles) {
   options.use_cache = false;
   ServeLoop loop(*corpus, options);
   ServeRequest request;
-  ASSERT_TRUE(loop.Handle(request).ok());
-  ASSERT_TRUE(loop.Handle(request).ok());
+  ASSERT_TRUE(loop.Serve(request).served());
+  ASSERT_TRUE(loop.Serve(request).served());
   MappingCache::Stats stats = loop.cache().stats();
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
@@ -137,7 +138,9 @@ TEST(ServeLoopTest, RejectsOutOfRangeRequests) {
   ServeLoop loop(*corpus, ServeOptions{});
   ServeRequest request;
   request.document = 5;
-  EXPECT_EQ(loop.Handle(request).status().code(), StatusCode::kInvalidArgument);
+  ServeResponse response = loop.Serve(request);
+  EXPECT_FALSE(response.served());
+  EXPECT_EQ(response.error.code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ServeLoopTest, EveningNewsIntegrationAtFourThreads) {

@@ -137,11 +137,11 @@ else
     failures=$((failures + 1))
   fi
 
-  # A v3 client asking for a stream silently falls back to blob delivery.
-  "$TOOL" request --port "$port" --doc news-0-s1 --stream --wire-version 3 >stream_v3.out 2>&1
-  check "streamed request at wire v3 falls back and exits 0" 0 $?
-  grep -q "stream: blob fallback" stream_v3.out || {
-    echo "FAIL: v3 streamed request did not report the blob fallback" >&2
+  # There is one wire version: the old interop flag is an unknown flag.
+  "$TOOL" request --port "$port" --doc news-0-s1 --stream --wire-version 3 >removed_flag.out 2>&1
+  check "request --wire-version is rejected as an unknown flag" 2 $?
+  grep -q "unknown or malformed argument '--wire-version'" removed_flag.out || {
+    echo "FAIL: --wire-version was not reported as an unknown flag" >&2
     failures=$((failures + 1))
   }
 

@@ -34,10 +34,9 @@
 //                                            serve over TCP until stdin closes
 //   cmif_tool request --port <port> --doc <name> [--host A] [--profile <name>]
 //                     [--channels a,b] [--no-body] [--retries N] [--deadline-ms D]
-//                     [--trace out.json] [--stream [--chunk C]] [--wire-version V]
+//                     [--trace out.json] [--stream [--chunk C]]
 //                                            fetch one compiled presentation
-//                                            (--stream = chunked delivery
-//                                            with silent blob fallback)
+//                                            (--stream = chunked delivery)
 //   cmif_tool stats <host:port>              live server telemetry as JSON
 //   cmif_tool cache <ls|verify|purge> <dir>  inspect / check / wipe a
 //                                            persistent cache directory
@@ -655,7 +654,7 @@ int CmdProfile(const std::vector<std::string>& args) {
 // the request scheduler between the reactor and the workers (default fifo);
 // --max-queue caps the scheduler queue (admission beyond it is shed with a
 // structured response); --deadline-ms assigns a default deadline to requests
-// that carry none, so EDF shedding also protects legacy v2 clients.
+// that carry none.
 int CmdServe(const std::vector<std::string>& args) {
   int docs = 8;
   std::size_t requests = 256;
@@ -904,21 +903,17 @@ int CmdRequest(const std::vector<std::string>& args) {
     } else if (args[i] == "--no-degraded") {
       request.allow_degraded = false;
     } else if (args[i] == "--deadline-ms" && (value = long_after(i))) {
-      // Carried on the wire (v3); an EDF server sheds this request with a
+      // Carried on the wire; an EDF server sheds this request with a
       // structured response once the budget is blown instead of queueing it.
       request.deadline_ms = *value;
     } else if (args[i] == "--trace" && i + 1 < args.size()) {
       trace_out = args[++i];
     } else if (args[i] == "--stream") {
-      // Chunked delivery (wire v4): kStreamBegin + chunks + kStreamEnd,
-      // silently falling back to a plain request against an older server.
+      // Chunked delivery: kStreamBegin + chunks + kStreamEnd, or the
+      // server's plain response when there is nothing to stream.
       stream = true;
     } else if (args[i] == "--chunk" && (value = long_after(i))) {
       chunk_bytes = static_cast<std::uint64_t>(std::max(*value, 1L));
-    } else if (args[i] == "--wire-version" && (value = long_after(i))) {
-      // Speak an older protocol version (interop testing; clamped into the
-      // supported range at construction).
-      client_options.wire_version = static_cast<std::uint8_t>(*value);
     } else {
       return BadFlag("request: unknown or malformed argument '" + args[i] + "'");
     }
@@ -951,7 +946,7 @@ int CmdRequest(const std::vector<std::string>& args) {
           static_cast<unsigned long long>(streamed->resumes),
           static_cast<unsigned long long>(streamed->restarts));
     } else {
-      std::cout << "stream: blob fallback (peer predates wire v4)\n";
+      std::cout << "stream: blob fallback (nothing to stream)\n";
     }
     response = std::move(streamed->response);
   } else {
